@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import logging
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import prox
 from .detection import (
     connected_components,
     match_detections,
@@ -28,6 +30,8 @@ from .io import (
 )
 from .model import HyperParams
 from .pipeline import run_sequence
+
+log = logging.getLogger(__name__)
 
 
 def _parse_size(text: str):
@@ -70,6 +74,7 @@ def cmd_run(args) -> int:
         lambda1=lambda1, lambda2=lambda2, rank=args.rank, tau=args.tau
     )
     seg_mode, seg_value = args.seg
+    log.info("prox backend: %s", prox.BACKEND)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -12,17 +12,28 @@ class GroupStructure:
     Groups must jointly cover every pixel index in [0, p) so the norm is
     positive definite.
 
-    Internally the groups are packed into one padded index matrix (pad value
-    p, pointing at a scratch slot that always reads 0) and partitioned into
-    color classes of pairwise-disjoint groups, which lets block-coordinate
-    sweeps over the dual run vectorized one color at a time.
+    ``groups`` is a list of index sequences, or a 2-D integer array with one
+    group per row. Internally the groups are packed into one padded index
+    matrix (pad value p, pointing at a scratch slot that always reads 0) and
+    partitioned into color classes of pairwise-disjoint groups, which lets
+    block-coordinate sweeps over the dual run one color at a time.
+    ``color_of``, one label per group, gives a known proper coloring (the
+    builder of a regular grid has one in closed form); without it a greedy
+    coloring is computed. ``order`` lists the groups color-major (colors in
+    sequence, each color's groups in index order) and ``color_ptr`` delimits
+    the colors in it.
     """
 
-    def __init__(self, groups, weights, p: int):
+    def __init__(self, groups, weights, p: int, color_of=None):
         if p <= 0:
             raise ValueError("p must be positive")
         self.p = int(p)
-        self.groups = [np.asarray(g, dtype=np.intp) for g in groups]
+        if isinstance(groups, np.ndarray) and groups.ndim == 2:
+            matrix = np.ascontiguousarray(groups, dtype=np.int64)
+            self.groups = list(matrix)
+        else:
+            self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
+            matrix = None
         self.weights = np.asarray(weights, dtype=np.float64)
         if len(self.groups) == 0:
             raise ValueError("at least one group is required")
@@ -31,38 +42,58 @@ class GroupStructure:
         if np.any(self.weights <= 0):
             raise ValueError("group weights must be positive")
 
-        covered = np.zeros(self.p, dtype=bool)
-        for i, g in enumerate(self.groups):
-            if g.size == 0:
-                raise ValueError(f"group {i} is empty")
-            if np.any(g < 0) or np.any(g >= self.p):
-                raise ValueError(f"group {i} has indices outside [0, {self.p})")
-            if np.any(np.diff(g) <= 0):
-                raise ValueError(f"group {i} indices must be strictly increasing")
-            covered[g] = True
+        self.n_groups = len(self.groups)
+        self.sizes = np.array([g.size for g in self.groups], dtype=np.int64)
+        if not self.sizes.all():
+            raise ValueError(f"group {int(np.argmin(self.sizes))} is empty")
+        self.max_size = int(self.sizes.max())
+        flat = matrix.ravel() if matrix is not None else np.concatenate(self.groups)
+        owner = np.repeat(np.arange(self.n_groups), self.sizes)
+        bad = (flat < 0) | (flat >= self.p)
+        if bad.any():
+            raise ValueError(f"group {owner[np.argmax(bad)]} has indices "
+                             f"outside [0, {self.p})")
+        bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+        if bad.any():
+            raise ValueError(f"group {owner[np.argmax(bad)]} indices must be "
+                             "strictly increasing")
+        covered = np.bincount(flat, minlength=self.p) > 0
         if not covered.all():
-            missing = int(np.flatnonzero(~covered)[0])
+            missing = int(np.argmin(covered))
             raise ValueError(f"pixel {missing} is not covered by any group")
 
-        self.n_groups = len(self.groups)
-        self.max_size = max(g.size for g in self.groups)
-        self.sizes = np.array([g.size for g in self.groups], dtype=np.intp)
         # Padded (n_groups, max_size) index matrix; pad slot is index p.
-        self.index_matrix = np.full((self.n_groups, self.max_size), self.p,
-                                    dtype=np.intp)
-        for i, g in enumerate(self.groups):
-            self.index_matrix[i, : g.size] = g
-        self.colors = self._color_classes()
+        if matrix is None:
+            matrix = np.full((self.n_groups, self.max_size), self.p,
+                             dtype=np.int64)
+            starts = np.cumsum(self.sizes) - self.sizes
+            matrix[owner, np.arange(flat.size) - starts[owner]] = flat
+        self.index_matrix = matrix
 
-    def _color_classes(self):
-        """Greedy coloring of the group-overlap graph.
+        if color_of is None:
+            color_of = self._greedy_colors()
+        else:
+            color_of = np.asarray(color_of)
+            if color_of.shape != (self.n_groups,):
+                raise ValueError("one color label per group is required")
+            _, color_of = np.unique(color_of, return_inverse=True)
+            # proper: no pixel is covered twice by groups of one color
+            keys = np.sort(color_of[owner] * self.p + flat)
+            if (np.diff(keys) == 0).any():
+                raise ValueError("groups of one color must be disjoint")
+        self.order = np.argsort(color_of, kind="stable").astype(np.int64)
+        self.color_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(color_of)))).astype(np.int64)
+        self.colors = np.split(self.order, self.color_ptr[1:-1])
 
-        Groups sharing a pixel get different colors; each returned class is
-        an array of group indices with pairwise-disjoint supports.
+    def _greedy_colors(self) -> np.ndarray:
+        """Greedy coloring of the group-overlap graph, one label per group.
+
+        Groups sharing a pixel get different colors: each group takes the
+        smallest color no earlier group on its pixels holds.
         """
         pixel_owner = [[] for _ in range(self.p)]
-        color_of = np.full(self.n_groups, -1, dtype=np.intp)
-        n_colors = 0
+        color_of = np.full(self.n_groups, -1, dtype=np.int64)
         for i, g in enumerate(self.groups):
             taken = set()
             for px in g:
@@ -72,10 +103,9 @@ class GroupStructure:
             while c in taken:
                 c += 1
             color_of[i] = c
-            n_colors = max(n_colors, c + 1)
             for px in g:
                 pixel_owner[px].append(i)
-        return [np.flatnonzero(color_of == c) for c in range(n_colors)]
+        return color_of
 
     def __len__(self) -> int:
         return self.n_groups
@@ -86,7 +116,9 @@ def build_grid_groups(H: int, W: int, k: int = 3, stride: int = 1) -> GroupStruc
 
     Windows are placed at every stride-step origin; for stride > 1 extra
     windows clamped to the right/bottom edges are appended so every pixel is
-    covered. All weights are 1.0.
+    covered. All weights are 1.0. At stride 1, windows whose origins agree
+    modulo k never overlap, so the color (row mod k, col mod k) of each
+    origin is a proper coloring, and it is the one the greedy coloring finds.
     """
     if H <= 0 or W <= 0 or k <= 0 or stride <= 0:
         raise ValueError("H, W, k and stride must be positive")
@@ -95,17 +127,18 @@ def build_grid_groups(H: int, W: int, k: int = 3, stride: int = 1) -> GroupStruc
     if stride > k:
         raise ValueError(f"stride {stride} > window {k} would leave uncovered pixels")
 
-    rows = list(range(0, H - k + 1, stride))
-    if rows[-1] != H - k:
-        rows.append(H - k)
-    cols = list(range(0, W - k + 1, stride))
-    if cols[-1] != W - k:
-        cols.append(W - k)
+    def starts(n):
+        s = np.arange(0, n - k + 1, stride)
+        return s if s[-1] == n - k else np.append(s, n - k)
 
+    rows, cols = starts(H), starts(W)
     base = (np.arange(k)[:, None] * W + np.arange(k)[None, :]).ravel()
-    groups = [base + r * W + c for r in rows for c in cols]
-    weights = np.ones(len(groups))
-    return GroupStructure(groups, weights, H * W)
+    origins = (rows[:, None] * W + cols[None, :]).ravel()
+    color_of = None
+    if stride == 1:
+        color_of = ((rows[:, None] % k) * k + cols[None, :] % k).ravel()
+    return GroupStructure(origins[:, None] + base[None, :],
+                          np.ones(origins.size), H * W, color_of=color_of)
 
 
 def omega_norm(s: np.ndarray, g: GroupStructure) -> float:

@@ -6,25 +6,98 @@ the shared residual u - sum_g xi_g. Block coordinate descent over the groups
 is exact per block (a Euclidean l1-ball projection); the primal solution is
 recovered as s = u - sum_g xi_g.
 
-The default sweep visits groups in ascending index order through a compiled
-kernel; without numba it falls back to an equivalent vectorized schedule that
-batches pairwise-disjoint groups (color classes) per step.
+A sweep visits the groups color-major: the color classes in sequence, the
+groups of one color in index order. Two backends run that one schedule: a
+small C kernel (``_sweep.c``), compiled with the system ``cc`` once per
+source hash and loaded through ctypes when this module is imported, and a
+vectorized numpy path that batches each color class into one step. The
+kernel repeats numpy's floating-point operations in numpy's order, so both
+give bit-identical results. ``BACKEND`` names the one this process uses.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import logging
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .groups import GroupStructure
 
-try:
-    import numba
+log = logging.getLogger(__name__)
 
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAS_NUMBA = False
+_SOURCE = Path(__file__).with_name("_sweep.c")
+# No -march=native: the cached library must stay portable. No FMA
+# contraction: a fused multiply-add rounds differently from numpy.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
+    """The compiled sweep function, or None, with a warning, when it cannot
+    be built or loaded.
+
+    The library is cached as ``sweep-<sha256>.so`` in ``cache_dir``
+    (default ``${XDG_CACHE_HOME:-~/.cache}/modet``); the hash covers the
+    source and the flags. It is compiled to a temporary name in that
+    directory and renamed into place, so concurrent processes are safe.
+    When the directory is not writable, the kernel is compiled into a
+    temporary directory for this process only.
+    """
+    digest = hashlib.sha256(source.read_bytes()
+                            + " ".join(_CFLAGS).encode()).hexdigest()
+    if cache_dir is None:
+        cache_dir = Path(os.environ.get("XDG_CACHE_HOME")
+                         or os.path.expanduser("~/.cache")) / "modet"
+    cache_dir = Path(cache_dir)
+    path = cache_dir / f"sweep-{digest}.so"
+    if not path.exists():
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+        except OSError as exc:
+            log.warning("cannot write the kernel cache %s (%s); compiling "
+                        "into a temporary directory", cache_dir, exc)
+            try:
+                with tempfile.TemporaryDirectory(prefix="modet-") as tmpdir:
+                    return _load_kernel(source, tmpdir, cc)
+            except OSError as exc:
+                log.warning("no writable directory for the sweep kernel "
+                            "(%s); using the numpy sweeps", exc)
+                return None
+        os.close(fd)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-o", tmp, str(source), "-lm"],
+                           check=True, capture_output=True, text=True)
+            os.replace(tmp, path)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or str(exc)
+            log.warning("compiling the sweep kernel with %r failed; using "
+                        "the numpy sweeps: %s", cc, detail.strip())
+            return None
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    try:
+        fn = ctypes.CDLL(str(path)).dual_sweeps
+    except (OSError, AttributeError) as exc:
+        log.warning("loading the sweep kernel %s failed; using the numpy "
+                    "sweeps: %s", path, exc)
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, ptr, ptr]
+    fn.restype = i64
+    log.info("prox backend: C sweep kernel %s", path)
+    return fn
+
+
+_sweep_c = _load_kernel()
+BACKEND = "c" if _sweep_c is not None else "numpy"
 
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -74,74 +147,6 @@ def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
     return out
 
 
-if _HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _dual_sweeps(idx, sizes, xi, res, radii, order, max_sweeps, tol):
-        """Sequential block sweeps over the dual; mutates xi and res.
-
-        res has one trailing scratch slot (kept at 0) that padded index
-        entries point to. Returns (sweeps run, last max change).
-        """
-        n_groups, width = idx.shape
-        buf = np.empty(width)
-        srt = np.empty(width)
-        change = np.inf
-        sweeps = 0
-        for _ in range(max_sweeps):
-            sweeps += 1
-            change = 0.0
-            for oi in range(n_groups):
-                gi = order[oi]
-                m = sizes[gi]
-                rad = radii[gi]
-                l1 = 0.0
-                for j in range(m):
-                    v = res[idx[gi, j]] + xi[gi, j]
-                    buf[j] = v
-                    l1 += abs(v)
-                if l1 > rad:
-                    # descending insertion sort of |v| to find the threshold
-                    for j in range(m):
-                        a = abs(buf[j])
-                        kk = j
-                        while kk > 0 and srt[kk - 1] < a:
-                            srt[kk] = srt[kk - 1]
-                            kk -= 1
-                        srt[kk] = a
-                    css = 0.0
-                    theta = 0.0
-                    for j in range(m):
-                        css += srt[j]
-                        if srt[j] * (j + 1) > css - rad:
-                            theta = (css - rad) / (j + 1)
-                    for j in range(m):
-                        v = buf[j]
-                        mag = abs(v) - theta
-                        new = 0.0
-                        if mag > 0.0:
-                            new = mag if v > 0.0 else -mag
-                        d = new - xi[gi, j]
-                        if abs(d) > change:
-                            change = abs(d)
-                        res[idx[gi, j]] -= d
-                        xi[gi, j] = new
-                else:
-                    # interior: the block absorbs its residual entirely
-                    for j in range(m):
-                        d = res[idx[gi, j]]
-                        if abs(d) > change:
-                            change = abs(d)
-                        xi[gi, j] = buf[j]
-                        res[idx[gi, j]] = 0.0
-            if change <= tol:
-                break
-        return sweeps, change
-
-else:  # pragma: no cover - exercised only without numba
-    _dual_sweeps = None
-
-
 @dataclass
 class DualState:
     """Dual variables of the structured prox, one padded row per group.
@@ -167,20 +172,14 @@ def structured_prox_dual(
     tol: float = 1e-8,
     max_iters: int = 200,
     init: DualState | None = None,
-    order: str | np.ndarray = "sequential",
 ):
     """Solve the structured prox; return (s, DualState, sweeps, last_change).
 
     Cyclic block coordinate descent over the dual group variables, each block
     step an exact l1-ball projection of the current group residual. A sweep
-    visits every group once; iteration stops when the largest single dual
-    entry change in a sweep drops to ``tol`` or after ``max_iters`` sweeps.
-
-    ``order`` selects the sweep schedule: "sequential" visits groups in
-    ascending index order, an explicit index array gives a custom order, and
-    "colored" batches pairwise-disjoint groups per step (identical to a
-    sequential sweep in color-major order, but vectorized). ``init``
-    warm-starts the dual variables.
+    visits every group once, color-major; iteration stops when the largest
+    single dual entry change in a sweep drops to ``tol`` or after
+    ``max_iters`` sweeps. ``init`` warm-starts the dual variables.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size != g.p:
@@ -192,7 +191,7 @@ def structured_prox_dual(
 
     radii = lambda2 * g.weights
     if init is not None:
-        xi = np.array(init.xi, dtype=np.float64)
+        xi = np.array(init.xi, dtype=np.float64, order="C")
         if xi.shape != g.index_matrix.shape:
             raise ValueError("warm-start dual state does not match the groups")
     else:
@@ -203,54 +202,23 @@ def structured_prox_dual(
     res[: g.p] = u - _scatter_sum(xi, g)
     res[g.p] = 0.0
 
-    if isinstance(order, str) and order == "colored":
-        sweeps, change = _colored_sweeps(g, xi, res, radii, tol, max_iters)
-    elif isinstance(order, str) and order == "sequential" and not _HAS_NUMBA:
-        # same cyclic-descent family, vectorized; avoids a slow Python loop
-        sweeps, change = _colored_sweeps(g, xi, res, radii, tol, max_iters)
-    else:
-        if isinstance(order, str):
-            if order != "sequential":
-                raise ValueError(f"unknown sweep order {order!r}")
-            perm = np.arange(g.n_groups, dtype=np.int64)
-        else:
-            perm = np.asarray(order, dtype=np.int64)
-            if sorted(perm.tolist()) != list(range(g.n_groups)):
-                raise ValueError("order must be a permutation of the group indices")
-        if _HAS_NUMBA:
-            sweeps, change = _dual_sweeps(
-                np.ascontiguousarray(g.index_matrix, dtype=np.int64),
-                np.ascontiguousarray(g.sizes, dtype=np.int64),
-                xi, res,
-                np.ascontiguousarray(radii),
-                perm, max_iters, tol,
-            )
-        else:
-            sweeps, change = _python_sweeps(g, xi, res, radii, perm, tol,
-                                            max_iters)
+    sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
+    sweeps, change = sweep(g, xi, res, radii, tol, int(max_iters))
 
     s = u - _scatter_sum(xi, g)
     state = DualState(xi=xi, residual=res[: g.p].copy())
     return s, state, int(sweeps), float(change)
 
 
-def _python_sweeps(g, xi, res, radii, perm, tol, max_iters):
-    change = np.inf
-    sweeps = 0
-    for sweeps in range(1, max_iters + 1):
-        change = 0.0
-        for i in perm:
-            grp = g.groups[i]
-            n = grp.size
-            old = xi[i, :n]
-            new = project_l1_ball(res[grp] + old, radii[i])
-            d = new - old
-            change = max(change, float(np.abs(d).max(initial=0.0)))
-            res[grp] -= d
-            xi[i, :n] = new
-        if change <= tol:
-            break
-    return sweeps, change
+def _c_sweeps(g, xi, res, radii, tol, max_iters):
+    idx = g.index_matrix  # int64, C-contiguous, entries in [0, p]
+    work = np.empty(4 * idx.shape[1])
+    change = ctypes.c_double()
+    sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
+                      g.order.size, xi.ctypes.data, res.ctypes.data, g.p,
+                      radii.ctypes.data, max_iters, tol, work.ctypes.data,
+                      ctypes.byref(change))
+    return sweeps, change.value
 
 
 def _colored_sweeps(g, xi, res, radii, tol, max_iters):

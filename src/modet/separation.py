@@ -14,6 +14,10 @@ from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
 from .prox import structured_prox_dual
 
+# Prox calls that resume a step that raised the cost, each at 1/100 of the
+# previous tolerance.
+_DESCENT_RETRIES = 2
+
 
 def ridge_solve(
     d: np.ndarray, s: np.ndarray, L: np.ndarray, lambda1: float
@@ -65,7 +69,10 @@ def separate(
     """Split one frame into background L@r and structured-sparse foreground s.
 
     Starts cold at r = 0, s = 0 (or from the optional warm-start pair) and
-    alternates the exact ridge step with the structured prox. Stops when
+    alternates the exact ridge step with the structured prox. The ridge step
+    is exact, so a prox step that raises the cost at (r_new, s_prev) stopped
+    short; it is resumed from its dual state with a tighter tolerance, at
+    most twice, and then kept whatever its cost. Stops when
     max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration budget
     runs out; a final_delta above tau flags the latter for the caller.
     """
@@ -86,6 +93,7 @@ def separate(
 
     r = np.zeros(L.shape[1]) if r0 is None else np.asarray(r0, dtype=np.float64).copy()
     s = np.zeros(p) if s0 is None else np.asarray(s0, dtype=np.float64).copy()
+    penalty = 0.0 if s0 is None else params.lambda2 * omega_norm(s, g)
     state = None
     trace = []
     delta = np.inf
@@ -93,26 +101,32 @@ def separate(
     for iters in range(1, params.max_sep_iters + 1):
         r_new = cho_solve(factor, L.T @ (pix - s))
         u = pix - L @ r_new
-        s_new, state, _, _ = structured_prox_dual(
-            u,
-            g,
-            params.lambda2,
-            tol=params.prox_tol,
-            max_iters=params.max_prox_iters,
-            init=state,
-        )
+        ridge = 0.5 * params.lambda1 * (r_new @ r_new)
+        resid = u - s
+        # cost at (r_new, s): the prox step must not raise it
+        bound = 0.5 * resid @ resid + ridge + penalty
+        tol = params.prox_tol
+        for _ in range(1 + _DESCENT_RETRIES):
+            s_new, state, _, _ = structured_prox_dual(
+                u,
+                g,
+                params.lambda2,
+                tol=tol,
+                max_iters=params.max_prox_iters,
+                init=state,
+            )
+            resid = u - s_new
+            penalty_new = params.lambda2 * omega_norm(s_new, g)
+            cost = float(0.5 * resid @ resid + ridge + penalty_new)
+            if cost <= bound:
+                break
+            # stopped short of descent: resume the same dual, tighter
+            tol /= 100.0
         delta = max(
             float(np.linalg.norm(r_new - r)), float(np.linalg.norm(s_new - s))
         ) / p
-        r, s = r_new, s_new
-        resid = u - s
-        trace.append(
-            float(
-                0.5 * resid @ resid
-                + 0.5 * params.lambda1 * (r @ r)
-                + params.lambda2 * omega_norm(s, g)
-            )
-        )
+        r, s, penalty = r_new, s_new, penalty_new
+        trace.append(cost)
         if delta <= params.tau:
             break
 

@@ -131,3 +131,24 @@ def test_color_classes_are_disjoint_partitions():
             grp = g.groups[gi]
             assert not used[grp].any()
             used[grp] = True
+
+
+@pytest.mark.parametrize("H,W,k", [(3, 3, 3), (4, 4, 3), (5, 4, 3), (3, 11, 3),
+                                   (9, 7, 3), (10, 4, 2), (12, 13, 4),
+                                   (64, 64, 3)])
+def test_grid_coloring_equals_greedy(H, W, k):
+    g = build_grid_groups(H, W, k=k)
+    greedy = GroupStructure(g.index_matrix, g.weights, g.p)
+    assert len(g.colors) == len(greedy.colors)
+    for a, b in zip(g.colors, greedy.colors):
+        assert np.array_equal(a, b)
+    assert np.array_equal(g.order, np.concatenate(g.colors))
+    assert g.color_ptr.tolist() == [0, *np.cumsum([c.size for c in g.colors])]
+
+
+def test_given_coloring_must_be_proper():
+    with pytest.raises(ValueError):
+        GroupStructure([[0, 1], [1, 2]], [1.0, 1.0], 3, color_of=[5, 5])
+    g = GroupStructure([[0, 1], [1, 2], [2, 3]], [1.0] * 3, 4,
+                       color_of=[7, 2, 7])
+    assert [c.tolist() for c in g.colors] == [[1], [0, 2]]

@@ -1,15 +1,26 @@
+import logging
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
+import modet.prox
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
+from modet.io import SynthSpec, synth_sequence
+from modet.pipeline import run_sequence
 from modet.prox import (
     DualState,
+    _load_kernel,
     _project_l1_rows,
     oracle_prox,
     project_l1_ball,
     structured_prox,
     structured_prox_dual,
 )
+
+needs_c = pytest.mark.skipif(modet.prox._sweep_c is None,
+                             reason="the C sweep kernel could not be built")
 
 
 def two_group_structure():
@@ -184,18 +195,6 @@ class TestStructuredProx:
             objs.append(0.5 * np.sum(state.residual**2))
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
-    def test_sweep_orders_agree(self):
-        g = build_grid_groups(5, 5)
-        rng = np.random.default_rng(10)
-        u = rng.uniform(-1, 1, 25)
-        kw = dict(tol=1e-12, max_iters=20000)
-        s_seq, _, _, _ = structured_prox_dual(u, g, 0.2, order="sequential", **kw)
-        s_col, _, _, _ = structured_prox_dual(u, g, 0.2, order="colored", **kw)
-        perm = rng.permutation(g.n_groups)
-        s_perm, _, _, _ = structured_prox_dual(u, g, 0.2, order=perm, **kw)
-        assert np.abs(s_seq - s_col).max() < 1e-9
-        assert np.abs(s_seq - s_perm).max() < 1e-9
-
     def test_warm_start_reaches_same_answer(self):
         g = two_group_structure()
         rng = np.random.default_rng(11)
@@ -217,11 +216,134 @@ class TestStructuredProx:
         with pytest.raises(ValueError):
             structured_prox(np.zeros(9), g, 0.0)
         with pytest.raises(ValueError):
-            structured_prox_dual(np.zeros(9), g, 0.3, order="sideways")
-        with pytest.raises(ValueError):
             structured_prox_dual(
                 np.zeros(9), g, 0.3, init=DualState(np.zeros((3, 4)), np.zeros(9))
             )
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestStructuredProxNumpy(TestStructuredProx):
+    """The same cases on the numpy fallback."""
+
+
+def random_structure(rng, p):
+    """One group over every pixel plus random groups of 1..min(p, 200)."""
+    groups = [np.arange(p)]
+    for _ in range(int(rng.integers(1, 30))):
+        m = int(rng.integers(1, min(p, 200) + 1))
+        groups.append(np.sort(rng.choice(p, m, replace=False)))
+    return GroupStructure(groups, rng.uniform(0.5, 2.0, len(groups)), p)
+
+
+def prox_bytes(*args, **kw):
+    s, state, sweeps, change = structured_prox_dual(*args, **kw)
+    return (s.tobytes(), state.xi.tobytes(), state.residual.tobytes(),
+            sweeps, change)
+
+
+@needs_c
+class TestBackends:
+    def both(self, monkeypatch, fn):
+        c = fn()
+        with monkeypatch.context() as m:
+            m.setattr(modet.prox, "_sweep_c", None)
+            numpy = fn()
+        return c, numpy
+
+    def test_prox_bit_equal(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        cases = [(build_grid_groups(64, 64),
+                  rng.normal(0, 0.3, 4096) * (rng.random(4096) < 0.1), 0.16)]
+        for p in (5, 9, 40, 300):  # rows both sides of the 8- and 128-wide
+            g = random_structure(rng, p)  # steps of numpy's pairwise sum
+            cases.append((g, rng.normal(size=p), float(rng.uniform(0.05, 1))))
+        for p in (9, 300):
+            # radius = the smaller of the pairwise and the sequential l1
+            # sum: the group is inside the ball in one order, outside in
+            # the other
+            a = np.zeros(p)
+            while a.sum() == sum(a.tolist()):
+                u = rng.normal(size=p)
+                a = np.abs(u)
+            cases.append((GroupStructure([np.arange(p)], [1.0], p), u,
+                          min(a.sum(), sum(a.tolist()))))
+        for g, u, lam in cases:
+            for kw in (dict(), dict(tol=1e-12, max_iters=500),
+                       dict(tol=0.0, max_iters=3)):
+                c, numpy = self.both(monkeypatch,
+                                     lambda: prox_bytes(u, g, lam, **kw))
+                assert c == numpy
+            _, warm, _, _ = structured_prox_dual(u, g, lam, max_iters=2)
+            c, numpy = self.both(
+                monkeypatch, lambda: prox_bytes(u * 0.9, g, lam, init=warm))
+            assert c == numpy
+
+    def test_run_sequence_byte_identical(self, monkeypatch):
+        frames, _ = synth_sequence(SynthSpec(n_frames=5), seed=3)
+        frames = list(frames)
+
+        def run():
+            seps = []
+            summary = run_sequence(
+                iter(frames), seed=0,
+                evaluator=lambda f, sep: seps.append(sep) or {})
+            return ([(sep.foreground.tobytes(), sep.coeffs.tobytes(),
+                      sep.objective_trace) for sep in seps],
+                    summary.model.basis.tobytes())
+
+        c, numpy = self.both(monkeypatch, run)
+        assert c == numpy
+
+
+class TestKernelBuild:
+    def test_missing_compiler_falls_back(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="modet.prox"):
+            fn = _load_kernel(cache_dir=tmp_path, cc=str(tmp_path / "no-cc"))
+        assert fn is None
+        assert "numpy sweeps" in caplog.text
+        assert not list(tmp_path.iterdir())  # no partial library left
+
+    def test_compile_error_logs_compiler_stderr(self, tmp_path, caplog):
+        bad = tmp_path / "_sweep.c"
+        bad.write_text("int dual_sweeps( {\n")
+        with caplog.at_level(logging.WARNING, logger="modet.prox"):
+            fn = _load_kernel(bad, cache_dir=tmp_path / "cache")
+        assert fn is None
+        assert "error" in caplog.text
+        assert not list((tmp_path / "cache").iterdir())
+
+    @needs_c
+    def test_unwritable_cache_compiles_in_temp_dir(self, tmp_path, caplog):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with caplog.at_level(logging.WARNING, logger="modet.prox"):
+            fn = _load_kernel(cache_dir=blocker / "cache")
+        assert fn is not None
+        assert "cannot write the kernel cache" in caplog.text
+
+    def test_no_writable_dir_falls_back(self, tmp_path, monkeypatch, caplog):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(tempfile, "tempdir", str(blocker / "tmp"))
+        with caplog.at_level(logging.WARNING, logger="modet.prox"):
+            fn = _load_kernel(cache_dir=blocker / "cache")
+        assert fn is None
+        assert "numpy sweeps" in caplog.text
+
+    @needs_c
+    def test_edited_source_gets_new_cache_file(self, tmp_path):
+        src = tmp_path / "_sweep.c"
+        shutil.copy(modet.prox._SOURCE, src)
+        cache = tmp_path / "cache"
+        assert _load_kernel(src, cache_dir=cache) is not None
+        first = {f.name for f in cache.iterdir()}
+        assert _load_kernel(src, cache_dir=cache) is not None  # cache hit
+        assert {f.name for f in cache.iterdir()} == first
+        src.write_text(src.read_text() + "/* edited */\n")
+        assert _load_kernel(src, cache_dir=cache) is not None
+        names = {f.name for f in cache.iterdir()}
+        assert len(first) == 1 and len(names) == 2 and first < names
+        assert all(n.startswith("sweep-") and n.endswith(".so") for n in names)
 
 
 class TestOracleProx:
