@@ -69,37 +69,42 @@ def connected_components(
 ):
     """Bounding boxes of connected true-regions, sorted by (y, x).
 
-    Components smaller than ``min_area`` pixels are dropped.
+    Components smaller than ``min_area`` pixels are dropped. Each true pixel
+    takes the smallest raster number in its component by min-label
+    propagation with pointer jumping, vectorised over the true pixels; boxes
+    with the same corner keep the raster order of their first pixels.
     """
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != H * W:
         raise ValueError(f"mask length {mask.size} != {H}x{W}")
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
+    ys, xs = np.nonzero(mask.reshape(H, W))
+    n = ys.size
+    number = np.full((H + 2, W + 2), n)  # n marks "no true pixel"
+    number[ys + 1, xs + 1] = np.arange(n)
     offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
-    grid = mask.reshape(H, W)
-    seen = np.zeros((H, W), dtype=bool)
-    boxes = []
-    for sy, sx in zip(*np.nonzero(grid)):
-        if seen[sy, sx]:
-            continue
-        stack = [(int(sy), int(sx))]
-        seen[sy, sx] = True
-        area = 0
-        y0 = y1 = int(sy)
-        x0 = x1 = int(sx)
-        while stack:
-            cy, cx = stack.pop()
-            area += 1
-            y0 = min(y0, cy); y1 = max(y1, cy)
-            x0 = min(x0, cx); x1 = max(x1, cx)
-            for dy, dx in offsets:
-                ny, nx = cy + dy, cx + dx
-                if 0 <= ny < H and 0 <= nx < W and grid[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
-                    stack.append((ny, nx))
-        if area >= min_area:
-            boxes.append(Box(x=x0, y=y0, w=x1 - x0 + 1, h=y1 - y0 + 1))
+    nbrs = np.stack([number[ys + 1 + dy, xs + 1 + dx] for dy, dx in offsets])
+    lab = np.arange(n + 1)
+    while True:
+        new = lab.copy()
+        new[:n] = np.minimum(lab[:n], lab[nbrs].min(axis=0))
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    roots, comp, area = np.unique(lab[:n], return_inverse=True,
+                                  return_counts=True)
+    # a root is its component's first pixel in raster order: on its top row
+    y0, y1, x0, x1 = ys[roots], ys[roots], xs[roots], xs[roots]
+    np.maximum.at(y1, comp, ys)
+    np.minimum.at(x0, comp, xs)
+    np.maximum.at(x1, comp, xs)
+    keep = area >= min_area
+    boxes = [
+        Box(x=a, y=b, w=c - a + 1, h=d - b + 1)
+        for a, b, c, d in zip(*(v[keep].tolist() for v in (x0, y0, x1, y1)))
+    ]
     boxes.sort(key=lambda b: (b.y, b.x))
     return boxes
 
@@ -114,48 +119,28 @@ def iou(a: Box, b: Box) -> float:
     return inter / float(a.area + b.area - inter)
 
 
-def match_detections(
-    dets, gts, thresh: float = 0.3, method: str = "greedy"
-) -> MatchResult:
-    """One-to-one matching of detections to groundtruth boxes.
+def match_detections(dets, gts, thresh: float = 0.3) -> MatchResult:
+    """Greedy descending-IoU one-to-one matching of detections to groundtruth.
 
-    Greedy descending-IoU matching by default; ``method="hungarian"`` solves
-    the optimal assignment instead (for sensitivity checks). Pairs below the
-    IoU threshold never match; leftovers count as FP/FN.
+    Pairs below the IoU threshold never match; leftovers count as FP/FN.
     """
     if not 0.0 < thresh <= 1.0:
         raise ValueError("IoU threshold must lie in (0, 1]")
+    cands = []
+    for di, dbox in enumerate(dets):
+        for gi, gbox in enumerate(gts):
+            v = iou(dbox, gbox)
+            if v >= thresh:
+                cands.append((v, di, gi))
+    cands.sort(key=lambda t: (-t[0], t[1], t[2]))
     pairs = []
-    if dets and gts:
-        if method == "greedy":
-            cands = []
-            for di, dbox in enumerate(dets):
-                for gi, gbox in enumerate(gts):
-                    v = iou(dbox, gbox)
-                    if v >= thresh:
-                        cands.append((v, di, gi))
-            cands.sort(key=lambda t: (-t[0], t[1], t[2]))
-            used_d, used_g = set(), set()
-            for v, di, gi in cands:
-                if di in used_d or gi in used_g:
-                    continue
-                used_d.add(di)
-                used_g.add(gi)
-                pairs.append((di, gi, v))
-        elif method == "hungarian":
-            from scipy.optimize import linear_sum_assignment
-
-            cost = np.zeros((len(dets), len(gts)))
-            for di, dbox in enumerate(dets):
-                for gi, gbox in enumerate(gts):
-                    cost[di, gi] = -iou(dbox, gbox)
-            rows, cols = linear_sum_assignment(cost)
-            for di, gi in zip(rows, cols):
-                v = -cost[di, gi]
-                if v >= thresh:
-                    pairs.append((int(di), int(gi), float(v)))
-        else:
-            raise ValueError(f"unknown matching method {method!r}")
+    used_d, used_g = set(), set()
+    for v, di, gi in cands:
+        if di in used_d or gi in used_g:
+            continue
+        used_d.add(di)
+        used_g.add(gi)
+        pairs.append((di, gi, v))
     tp = len(pairs)
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(gts) - tp, pairs=pairs)
 

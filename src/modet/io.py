@@ -35,14 +35,11 @@ def _next_token(data: bytes, pos: int):
 
 
 def _header_int(data: bytes, pos: int, what: str):
+    """Parse the next token as a plain decimal number; no sign, no "_"."""
     tok, end = _next_token(data, pos)
-    try:
-        val = int(tok)
-    except ValueError:
-        raise ValueError(
-            f"byte {end - len(tok)}: invalid {what} {tok!r} in PGM header"
-        ) from None
-    return val, end
+    if not tok.isdigit():
+        raise ValueError(f"byte {end - len(tok)}: invalid {what} {tok!r} in PGM")
+    return int(tok), end
 
 
 def read_frame_pgm(data: bytes, index: int = 0) -> Frame:
@@ -124,15 +121,11 @@ def iter_sequence(path):
     Frame indices are positions in the listing.
     """
     path = Path(path)
+    if (path / "manifest.txt").is_file():
+        path = path / "manifest.txt"
     if path.is_dir():
-        manifest = path / "manifest.txt"
-        if manifest.is_file():
-            base = path
-            names = [ln for ln in manifest.read_text(encoding="ascii").splitlines()
-                     if ln.strip()]
-        else:
-            base = path
-            names = sorted(f.name for f in path.glob("*.pgm"))
+        base = path
+        names = sorted(f.name for f in path.glob("*.pgm"))
     elif path.is_file():
         base = path.parent
         names = [ln for ln in path.read_text(encoding="ascii").splitlines()

@@ -16,7 +16,7 @@ from .model import (
     default_hyperparams,
     init_subspace,
 )
-from .separation import separate
+from .separation import frame_cost, separate
 from .subspace import save_checkpoint, update_accumulators, update_basis
 
 
@@ -47,18 +47,16 @@ class RunSummary:
 
 
 class SurrogateTracker:
-    """Running scalars that make the surrogate cost O(1) to evaluate.
+    """Running scalar that makes the surrogate cost O(1) to evaluate.
 
     The cost over the frozen history decomposes into the accumulator
-    matrices plus three scalar sums (squared residual-to-foreground energy,
-    ridge energy of the coefficients, structured-norm mass), updated once
-    per frame. Matches the desk-scale history evaluation exactly.
+    matrices plus one scalar: the per-frame cost with the background left
+    out of the residual, summed once per frame. Matches the desk-scale
+    history evaluation to rounding.
     """
 
     def __init__(self):
-        self.const_sq = 0.0
-        self.const_ridge = 0.0
-        self.const_omega = 0.0
+        self.const = 0.0
 
     def add(
         self,
@@ -67,10 +65,12 @@ class SurrogateTracker:
         g: GroupStructure,
         params: HyperParams,
     ) -> None:
-        diff = frame.pixels - res.foreground
-        self.const_sq += 0.5 * float(diff @ diff)
-        self.const_ridge += 0.5 * params.lambda1 * float(res.coeffs @ res.coeffs)
-        self.const_omega += params.lambda2 * omega_norm(res.foreground, g)
+        self.const += frame_cost(
+            frame.pixels - res.foreground,
+            res.coeffs,
+            params.lambda2 * omega_norm(res.foreground, g),
+            params,
+        )
 
     def value(self, model: SubspaceModel, params: HyperParams) -> float:
         t = model.frames_seen
@@ -80,10 +80,7 @@ class SurrogateTracker:
         quad = 0.5 * float(np.sum((L.T @ L) * model.accA))
         cross = float(np.sum(L * model.accB))
         reg = 0.5 * params.lambda1 * float(np.sum(L * L))
-        return (
-            self.const_sq - cross + quad
-            + self.const_ridge + self.const_omega + reg
-        ) / t
+        return (self.const - cross + quad + reg) / t
 
 
 def process_frame(
@@ -133,8 +130,6 @@ def run_sequence(
     evaluator=None,
     checkpoint_path=None,
     phase: int = 0,
-    window_k: int = 3,
-    window_stride: int = 1,
 ) -> RunSummary:
     """Consume a frame iterator and run the online loop over it.
 
@@ -160,8 +155,7 @@ def run_sequence(
             height, width = frame.height, frame.width
             if params is None:
                 params = default_hyperparams(height * width)
-            groups = build_grid_groups(height, width, k=window_k,
-                                       stride=window_stride)
+            groups = build_grid_groups(height, width)
             model = init_subspace(height * width, params, seed)
         model, out = process_frame(
             model, frame, groups, params, diagnostics=diagnostics,

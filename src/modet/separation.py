@@ -41,6 +41,17 @@ def ridge_solve(
     return cho_solve(cho_factor(gram, lower=True), L.T @ (d - s))
 
 
+def frame_cost(
+    resid: np.ndarray, r: np.ndarray, penalty: float, params: HyperParams
+) -> float:
+    """Per-frame cost 0.5*||resid||^2 + 0.5*lam1*||r||^2 + penalty.
+
+    ``resid`` is d - L r - s and ``penalty`` is lam2*Omega(s); the one place
+    the cost is written out.
+    """
+    return float(0.5 * resid @ resid + 0.5 * params.lambda1 * (r @ r) + penalty)
+
+
 def joint_objective(
     d: np.ndarray,
     L: np.ndarray,
@@ -50,12 +61,7 @@ def joint_objective(
     params: HyperParams,
 ) -> float:
     """Joint per-frame cost 0.5*||d-Lr-s||^2 + 0.5*lam1*||r||^2 + lam2*Omega(s)."""
-    resid = d - L @ r - s
-    return float(
-        0.5 * resid @ resid
-        + 0.5 * params.lambda1 * (r @ r)
-        + params.lambda2 * omega_norm(s, g)
-    )
+    return frame_cost(d - L @ r - s, r, params.lambda2 * omega_norm(s, g), params)
 
 
 def separate(
@@ -101,10 +107,8 @@ def separate(
     for iters in range(1, params.max_sep_iters + 1):
         r_new = cho_solve(factor, L.T @ (pix - s))
         u = pix - L @ r_new
-        ridge = 0.5 * params.lambda1 * (r_new @ r_new)
-        resid = u - s
         # cost at (r_new, s): the prox step must not raise it
-        bound = 0.5 * resid @ resid + ridge + penalty
+        bound = frame_cost(u - s, r_new, penalty, params)
         tol = params.prox_tol
         for _ in range(1 + _DESCENT_RETRIES):
             s_new, state, _, _ = structured_prox_dual(
@@ -115,9 +119,8 @@ def separate(
                 max_iters=params.max_prox_iters,
                 init=state,
             )
-            resid = u - s_new
             penalty_new = params.lambda2 * omega_norm(s_new, g)
-            cost = float(0.5 * resid @ resid + ridge + penalty_new)
+            cost = frame_cost(u - s_new, r_new, penalty_new, params)
             if cost <= bound:
                 break
             # stopped short of descent: resume the same dual, tighter

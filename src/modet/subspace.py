@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .groups import GroupStructure, omega_norm
+from .groups import GroupStructure
 from .model import Frame, HyperParams, SeparationResult, SubspaceModel
-from .separation import separate
+from .separation import joint_objective, separate
 
 CHECKPOINT_MAGIC = b"MODETCKP"
 CHECKPOINT_VERSION = 1
@@ -117,12 +117,8 @@ def surrogate_cost(
     t = len(history)
     total = 0.0
     for frame, res in history:
-        resid = frame.pixels - L @ res.coeffs - res.foreground
-        total += (
-            0.5 * resid @ resid
-            + 0.5 * params.lambda1 * (res.coeffs @ res.coeffs)
-            + params.lambda2 * omega_norm(res.foreground, g)
-        )
+        total += joint_objective(frame.pixels, L, res.coeffs, res.foreground,
+                                 g, params)
     return float(total / t + 0.5 * params.lambda1 * np.sum(L * L) / t)
 
 
@@ -144,12 +140,8 @@ def empirical_cost(
     total = 0.0
     for frame in frames:
         res = separate(frame, L, g, tight)
-        resid = frame.pixels - res.background - res.foreground
-        total += (
-            0.5 * resid @ resid
-            + 0.5 * params.lambda1 * (res.coeffs @ res.coeffs)
-            + params.lambda2 * omega_norm(res.foreground, g)
-        )
+        total += joint_objective(frame.pixels, L, res.coeffs, res.foreground,
+                                 g, params)
     n = len(frames)
     return float(total / n + 0.5 * params.lambda1 * np.sum(L * L) / n)
 

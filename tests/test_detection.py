@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modet.detection import (
     Box,
@@ -36,7 +38,83 @@ class TestThresholdMask:
             threshold_mask(np.zeros(4), mode="median", value=0.5)
 
 
+def reference_components(mask, H, W, connectivity=8, min_area=2):
+    """Depth-first flood fill over the pixels: the reference labelling."""
+    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    if connectivity == 8:
+        offsets += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    grid = np.asarray(mask, dtype=bool).reshape(H, W)
+    seen = np.zeros((H, W), dtype=bool)
+    boxes = []
+    for sy, sx in zip(*np.nonzero(grid)):
+        if seen[sy, sx]:
+            continue
+        seen[sy, sx] = True
+        stack, pixels = [(int(sy), int(sx))], []
+        while stack:
+            cy, cx = stack.pop()
+            pixels.append((cy, cx))
+            for dy, dx in offsets:
+                ny, nx = cy + dy, cx + dx
+                if 0 <= ny < H and 0 <= nx < W and grid[ny, nx] and not seen[ny, nx]:
+                    seen[ny, nx] = True
+                    stack.append((ny, nx))
+        if len(pixels) >= min_area:
+            py, px = zip(*pixels)
+            boxes.append(Box(x=min(px), y=min(py), w=max(px) - min(px) + 1,
+                             h=max(py) - min(py) + 1))
+    boxes.sort(key=lambda b: (b.y, b.x))
+    return boxes
+
+
+@st.composite
+def masks(draw):
+    H = draw(st.integers(1, 40))
+    W = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random((H, W)) < density
+
+
 class TestConnectedComponents:
+    @settings(max_examples=150, deadline=None)
+    @given(masks(), st.sampled_from([4, 8]), st.integers(1, 5))
+    def test_matches_reference(self, m, connectivity, min_area):
+        H, W = m.shape
+        got = connected_components(m.ravel(), H, W, connectivity, min_area)
+        assert got == reference_components(m, H, W, connectivity, min_area)
+
+    def test_pinned_shapes_match_reference(self):
+        # a U with a short left arm, so its box corner (0, 0) is not one of
+        # its pixels; a pixel inside the U's box; components on every edge
+        m = np.zeros((7, 9), dtype=bool)
+        m[1:4, 0] = m[0:4, 4] = m[3, 0:5] = True   # U open at the top
+        m[0, 2] = True                             # inside the U's box
+        m[0, 6:9] = True                           # top edge, top-right corner
+        m[6, 0:3] = True                           # bottom edge, bottom-left
+        m[3:6, 8] = True                           # right edge
+        m[5:7, 5] = True                           # bottom edge
+        for connectivity in (4, 8):
+            for min_area in (1, 2, 3, 5):
+                got = connected_components(m.ravel(), 7, 9, connectivity,
+                                           min_area)
+                assert got == reference_components(m, 7, 9, connectivity,
+                                                   min_area)
+        assert connected_components(m.ravel(), 7, 9, 4, 1) == [
+            Box(x=0, y=0, w=5, h=4), Box(x=2, y=0, w=1, h=1),
+            Box(x=6, y=0, w=3, h=1), Box(x=8, y=3, w=1, h=3),
+            Box(x=5, y=5, w=1, h=2), Box(x=0, y=6, w=3, h=1),
+        ]
+
+    def test_same_corner_keeps_raster_order(self):
+        # an L and a pixel share the box corner (0, 0); the pixel comes first
+        m = np.zeros((5, 6), dtype=bool)
+        m[0, 0] = True
+        m[0:4, 5] = m[3, 0:6] = True
+        got = connected_components(m.ravel(), 5, 6, 4, 1)
+        assert got == reference_components(m, 5, 6, 4, 1)
+        assert got == [Box(x=0, y=0, w=1, h=1), Box(x=0, y=0, w=6, h=4)]
+
     def test_empty_mask(self):
         assert connected_components(np.zeros(64, dtype=bool), 8, 8) == []
 
@@ -133,12 +211,6 @@ class TestMatching:
             assert m.tp + m.fn == len(gts)
             assert m.tp == len(m.pairs)
             assert all(v >= 0.3 for _, _, v in m.pairs)
-
-    def test_hungarian_mode(self):
-        dets = [Box(0, 0, 4, 4), Box(2, 0, 4, 4)]
-        gts = [Box(1, 0, 4, 4)]
-        m = match_detections(dets, gts, thresh=0.3, method="hungarian")
-        assert (m.tp, m.fp, m.fn) == (1, 1, 0)
 
     def test_threshold_guard(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from modet.io import (
     write_frame_pgm,
     write_sequence_dir,
 )
+from modet.model import Frame
 
 
 class TestPgmRead:
@@ -45,6 +46,12 @@ class TestPgmRead:
             read_frame_pgm(b"P5\n2 2\n70000\n" + bytes(8))
         with pytest.raises(ValueError, match="end of"):
             read_frame_pgm(b"P2\n2 2\n255\n1 2 3")
+
+    def test_p2_signed_samples_rejected(self):
+        with pytest.raises(ValueError, match=r"byte 11: invalid sample b'-5'"):
+            read_frame_pgm(b"P2\n2 1\n255\n-5 7\n")
+        with pytest.raises(ValueError, match=r"byte 13: invalid sample b'\+7'"):
+            read_frame_pgm(b"P2\n2 1\n255\n5 +7\n")
 
     def test_p2_sample_above_maxval(self):
         with pytest.raises(ValueError, match="exceeds maxval"):
@@ -91,6 +98,20 @@ class TestSequenceDir:
         write_sequence_dir(tmp_path / "seq", frames)
         back = list(iter_sequence(tmp_path / "seq" / "manifest.txt"))
         assert len(back) == 3
+
+    def test_directory_reads_its_manifest_order(self, tmp_path):
+        frames = [Frame(np.full(4, v), 2, 2) for v in (0.0, 0.5, 1.0)]
+        write_sequence_dir(tmp_path, frames)
+        names = sorted(f.name for f in tmp_path.glob("*.pgm"))
+        (tmp_path / "manifest.txt").write_text("\n".join(names[::-1]) + "\n")
+        back = [f.pixels[0] for f in iter_sequence(tmp_path)]
+        assert back == [1.0, 128 / 255, 0.0]
+        (tmp_path / "manifest.txt").unlink()
+        back = [f.pixels[0] for f in iter_sequence(tmp_path)]
+        assert back == [0.0, 128 / 255, 1.0]
+        (tmp_path / "manifest.txt").write_text("\n")
+        with pytest.raises(ValueError, match="empty sequence"):
+            list(iter_sequence(tmp_path))
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):

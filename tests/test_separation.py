@@ -119,6 +119,21 @@ class TestSeparate:
         assert res.iters == trace.size
         assert (np.diff(trace) <= 1e-10).all()
 
+    def test_trace_ends_at_joint_objective(self):
+        # the trace and joint_objective share one cost function: equal bits
+        for seed, side, rank, lambda2 in ((3, 4, 2, None), (5, 4, 2, 0.05),
+                                          (6, 5, 3, 0.08), (9, 5, 3, 0.01)):
+            rng = np.random.default_rng(seed)
+            g = build_grid_groups(side, side)
+            p = side * side
+            L = rng.normal(size=(p, rank)) / side
+            d = Frame(rng.uniform(0, 1, p), side, side)
+            kw = {} if lambda2 is None else {"lambda2": lambda2}
+            params = make_params(p, rank=rank, **kw)
+            res = separate(d, L, g, params)
+            assert res.objective_trace[-1] == joint_objective(
+                d.pixels, L, res.coeffs, res.foreground, g, params)
+
     def test_fixed_point_on_warm_start(self):
         rng = np.random.default_rng(7)
         g = build_grid_groups(5, 5)
