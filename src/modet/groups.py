@@ -111,32 +111,21 @@ class GroupStructure:
         return self.n_groups
 
 
-def build_grid_groups(H: int, W: int, k: int = 3, stride: int = 1) -> GroupStructure:
-    """Groups from a k x k window scanned over an H x W frame.
+def build_grid_groups(H: int, W: int, k: int = 3) -> GroupStructure:
+    """Groups from a k x k window at every origin of an H x W frame.
 
-    Windows are placed at every stride-step origin; for stride > 1 extra
-    windows clamped to the right/bottom edges are appended so every pixel is
-    covered. All weights are 1.0. At stride 1, windows whose origins agree
-    modulo k never overlap, so the color (row mod k, col mod k) of each
-    origin is a proper coloring, and it is the one the greedy coloring finds.
+    All weights are 1.0. Windows whose origins agree modulo k never
+    overlap, so the color (row mod k, col mod k) of each origin is a proper
+    coloring, and it is the one the greedy coloring finds.
     """
-    if H <= 0 or W <= 0 or k <= 0 or stride <= 0:
-        raise ValueError("H, W, k and stride must be positive")
+    if H <= 0 or W <= 0 or k <= 0:
+        raise ValueError("H, W and k must be positive")
     if k > min(H, W):
         raise ValueError(f"window k={k} exceeds frame extent {H}x{W}")
-    if stride > k:
-        raise ValueError(f"stride {stride} > window {k} would leave uncovered pixels")
-
-    def starts(n):
-        s = np.arange(0, n - k + 1, stride)
-        return s if s[-1] == n - k else np.append(s, n - k)
-
-    rows, cols = starts(H), starts(W)
+    rows, cols = np.arange(H - k + 1), np.arange(W - k + 1)
     base = (np.arange(k)[:, None] * W + np.arange(k)[None, :]).ravel()
     origins = (rows[:, None] * W + cols[None, :]).ravel()
-    color_of = None
-    if stride == 1:
-        color_of = ((rows[:, None] % k) * k + cols[None, :] % k).ravel()
+    color_of = ((rows[:, None] % k) * k + cols[None, :] % k).ravel()
     return GroupStructure(origins[:, None] + base[None, :],
                           np.ones(origins.size), H * W, color_of=color_of)
 

@@ -260,7 +260,7 @@ def synth_sequence(spec: SynthSpec, seed: int):
 METRICS_COLUMNS = (
     "frame_index", "iters", "final_delta", "fg_energy", "basis_delta",
     "recall5", "precision5", "f1_5", "recall_acc", "precision_acc",
-    "f1_acc", "wall_ms",
+    "f1_acc", "prox_sweeps", "prox_capped", "wall_ms",
 )
 
 

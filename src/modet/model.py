@@ -123,7 +123,10 @@ class SeparationResult:
     ``background`` is always basis @ coeffs recomputed from the final
     coefficients. ``objective_trace`` holds the joint objective value after
     each alternation, ``final_delta`` the last stop-criterion value
-    (> tau only when the iteration budget ran out).
+    (> tau only when the iteration budget ran out). ``prox_sweeps`` sums the
+    dual sweeps of every prox call, descent retries included;
+    ``prox_capped`` counts the calls that ran out of sweeps with the dual
+    change still above their tolerance.
     """
 
     coeffs: np.ndarray
@@ -132,3 +135,5 @@ class SeparationResult:
     iters: int
     final_delta: float
     objective_trace: list = field(default_factory=list)
+    prox_sweeps: int = 0
+    prox_capped: int = 0

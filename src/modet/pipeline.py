@@ -169,6 +169,8 @@ def run_sequence(
             "final_delta": out.separation.final_delta,
             "fg_energy": float(np.linalg.norm(out.separation.foreground)),
             "basis_delta": out.basis_delta,
+            "prox_sweeps": out.separation.prox_sweeps,
+            "prox_capped": out.separation.prox_capped,
             "wall_ms": out.wall_time * 1e3,
         }
         if evaluator is not None:

@@ -13,6 +13,14 @@ source hash and loaded through ctypes when this module is imported, and a
 vectorized numpy path that batches each color class into one step. The
 kernel repeats numpy's floating-point operations in numpy's order, so both
 give bit-identical results. ``BACKEND`` names the one this process uses.
+
+The kernel also skips a group whose last visit rewrote no bit of its dual
+row while no residual entry on its pixels has changed bits since: that
+visit would read and write the same bits. It finds the groups a changed
+residual entry touches through a pixel-to-group CSR that it builds at the
+start of each call in ``iwork`` (p + 2 row pointers, then the group lists),
+and keeps one dirty flag per group. The numpy path visits every group; the
+skip leaves sweep counts, changes, dual states and foregrounds bit-identical.
 """
 
 from __future__ import annotations
@@ -90,7 +98,8 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, ptr, ptr]
+    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, ptr, ptr,
+                   ptr, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -212,11 +221,15 @@ def structured_prox_dual(
 
 def _c_sweeps(g, xi, res, radii, tol, max_iters):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p]
-    work = np.empty(4 * idx.shape[1])
+    n_groups, width = idx.shape
+    work = np.empty(4 * width)
+    iwork = np.empty(g.p + 2 + n_groups * width, dtype=np.int64)
+    dirty = np.empty(n_groups, dtype=np.int8)
     change = ctypes.c_double()
-    sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
+    sweeps = _sweep_c(idx.ctypes.data, width, g.order.ctypes.data,
                       g.order.size, xi.ctypes.data, res.ctypes.data, g.p,
                       radii.ctypes.data, max_iters, tol, work.ctypes.data,
+                      iwork.ctypes.data, dirty.ctypes.data,
                       ctypes.byref(change))
     return sweeps, change.value
 

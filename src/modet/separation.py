@@ -104,6 +104,7 @@ def separate(
     trace = []
     delta = np.inf
     iters = 0
+    sweeps_total = capped = 0
     for iters in range(1, params.max_sep_iters + 1):
         r_new = cho_solve(factor, L.T @ (pix - s))
         u = pix - L @ r_new
@@ -111,7 +112,7 @@ def separate(
         bound = frame_cost(u - s, r_new, penalty, params)
         tol = params.prox_tol
         for _ in range(1 + _DESCENT_RETRIES):
-            s_new, state, _, _ = structured_prox_dual(
+            s_new, state, sweeps, change = structured_prox_dual(
                 u,
                 g,
                 params.lambda2,
@@ -119,6 +120,8 @@ def separate(
                 max_iters=params.max_prox_iters,
                 init=state,
             )
+            sweeps_total += sweeps
+            capped += int(sweeps >= params.max_prox_iters and change > tol)
             penalty_new = params.lambda2 * omega_norm(s_new, g)
             cost = frame_cost(u - s_new, r_new, penalty_new, params)
             if cost <= bound:
@@ -140,4 +143,6 @@ def separate(
         iters=iters,
         final_delta=delta,
         objective_trace=trace,
+        prox_sweeps=sweeps_total,
+        prox_capped=capped,
     )

@@ -71,6 +71,9 @@ def test_run_on_synthetic_sequence(small_sequence, tmp_path):
     header, rows = read_rows(out / "metrics.csv")
     assert len(rows) == 30
     assert header[0] == "frame_index"
+    # solver counters come before wall_ms, which stays last
+    assert header[-3:] == ["prox_sweeps", "prox_capped", "wall_ms"]
+    assert all(int(row[-3]) > 0 and int(row[-2]) >= 0 for row in rows)
     assert (out / "model.ckpt").is_file()
     assert (out / "detections.csv").is_file()
     # detection columns populated when gt was given

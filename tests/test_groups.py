@@ -15,7 +15,7 @@ def naive_omega(s, groups, weights):
 
 
 def test_grid_4x4_window3():
-    g = build_grid_groups(4, 4, k=3, stride=1)
+    g = build_grid_groups(4, 4, k=3)
     assert g.n_groups == 4
     assert all(grp.size == 9 for grp in g.groups)
     origins = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -25,13 +25,13 @@ def test_grid_4x4_window3():
 
 
 def test_grid_3x3_single_window():
-    g = build_grid_groups(3, 3, k=3, stride=1)
+    g = build_grid_groups(3, 3, k=3)
     assert g.n_groups == 1
     assert g.groups[0].tolist() == list(range(9))
 
 
 def test_grid_5x4_count_and_coverage():
-    g = build_grid_groups(5, 4, k=3, stride=1)
+    g = build_grid_groups(5, 4, k=3)
     assert g.n_groups == 6
     # brute-force coverage check
     hit = set()
@@ -40,24 +40,9 @@ def test_grid_5x4_count_and_coverage():
     assert hit == set(range(20))
 
 
-@pytest.mark.parametrize("H,W,k,stride", [(7, 7, 3, 3), (8, 5, 3, 2), (9, 9, 4, 3)])
-def test_grid_clamped_stride_covers_everything(H, W, k, stride):
-    g = build_grid_groups(H, W, k=k, stride=stride)
-    hit = np.zeros(H * W, dtype=bool)
-    for grp in g.groups:
-        hit[grp] = True
-    assert hit.all()
-    assert all(grp.size == k * k for grp in g.groups)
-
-
 def test_grid_window_too_large():
     with pytest.raises(ValueError):
         build_grid_groups(4, 2, k=3)
-
-
-def test_grid_stride_beyond_window_rejected():
-    with pytest.raises(ValueError):
-        build_grid_groups(9, 9, k=4, stride=5)
 
 
 def test_group_structure_validation():
@@ -86,7 +71,7 @@ def test_omega_single_group_is_linf():
 
 def test_omega_matches_naive_double_loop():
     rng = np.random.default_rng(3)
-    g = build_grid_groups(4, 4, k=3, stride=1)
+    g = build_grid_groups(4, 4, k=3)
     for _ in range(25):
         s = rng.uniform(-2, 2, 16)
         assert omega_norm(s, g) == pytest.approx(
@@ -96,7 +81,7 @@ def test_omega_matches_naive_double_loop():
 
 def test_omega_norm_properties():
     rng = np.random.default_rng(11)
-    g = build_grid_groups(5, 5, k=3, stride=1)
+    g = build_grid_groups(5, 5, k=3)
     for _ in range(20):
         s1 = rng.uniform(-1, 1, 25)
         s2 = rng.uniform(-1, 1, 25)
@@ -122,7 +107,7 @@ def test_omega_length_mismatch():
 
 
 def test_color_classes_are_disjoint_partitions():
-    g = build_grid_groups(9, 7, k=3, stride=1)
+    g = build_grid_groups(9, 7, k=3)
     seen = np.concatenate(g.colors)
     assert sorted(seen.tolist()) == list(range(g.n_groups))
     for cls in g.colors:

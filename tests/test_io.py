@@ -191,7 +191,8 @@ class TestMetricsSink:
         lines = path.read_text().splitlines()
         assert lines == [
             "frame_index,iters,final_delta,fg_energy,basis_delta,recall5,"
-            "precision5,f1_5,recall_acc,precision_acc,f1_acc,wall_ms"
+            "precision5,f1_5,recall_acc,precision_acc,f1_acc,prox_sweeps,"
+            "prox_capped,wall_ms"
         ]
 
     def test_rows_and_missing_fields(self, tmp_path):

@@ -1,15 +1,22 @@
 import logging
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modet
 import modet.prox
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
 from modet.io import SynthSpec, synth_sequence
 from modet.pipeline import run_sequence
 from modet.prox import (
+    _CFLAGS,
+    _SOURCE,
     DualState,
     _load_kernel,
     _project_l1_rows,
@@ -267,9 +274,17 @@ class TestBackends:
                 a = np.abs(u)
             cases.append((GroupStructure([np.arange(p)], [1.0], p), u,
                           min(a.sum(), sum(a.tolist()))))
+        # signed zeros: -0.0 inputs, and small negative entries that the
+        # projection shrinks to -0.0
+        g = build_grid_groups(6, 6)
+        u = rng.normal(0, 0.1, 36)
+        u[::4] = -0.0
+        cases.append((g, u, 0.05))
         for g, u, lam in cases:
+            # tol=0 keeps sweeping after the dual has settled, with nearly
+            # every group left unchanged by its last visit
             for kw in (dict(), dict(tol=1e-12, max_iters=500),
-                       dict(tol=0.0, max_iters=3)):
+                       dict(tol=0.0, max_iters=3), dict(tol=0.0, max_iters=300)):
                 c, numpy = self.both(monkeypatch,
                                      lambda: prox_bytes(u, g, lam, **kw))
                 assert c == numpy
@@ -277,6 +292,18 @@ class TestBackends:
             c, numpy = self.both(
                 monkeypatch, lambda: prox_bytes(u * 0.9, g, lam, init=warm))
             assert c == numpy
+        # one 5x5 blob on 64x64, warm-started from its converged dual: from
+        # the first sweep on, nearly every group is left unchanged
+        g = build_grid_groups(64, 64)
+        blob = np.zeros((64, 64))
+        blob[30:35, 20:25] = 1.0
+        _, done, _, _ = structured_prox_dual(blob.ravel(), g, 0.16, tol=0.0,
+                                             max_iters=2000)
+        for u in (blob.ravel(), np.roll(blob, 1, axis=1).ravel()):
+            for kw in (dict(), dict(tol=0.0, max_iters=50)):
+                c, numpy = self.both(monkeypatch, lambda: prox_bytes(
+                    u, g, 0.16, init=done, **kw))
+                assert c == numpy
 
     def test_run_sequence_byte_identical(self, monkeypatch):
         frames, _ = synth_sequence(SynthSpec(n_frames=5), seed=3)
@@ -295,7 +322,64 @@ class TestBackends:
         assert c == numpy
 
 
+# Runs a kernel library given on the command line against the numpy sweeps
+# on random structures with padded rows, cold and warm-started.
+ASAN_SCRIPT = """
+import ctypes, sys
+import numpy as np
+import modet.prox as prox
+from modet.groups import GroupStructure
+
+fn = ctypes.CDLL(sys.argv[1]).dual_sweeps
+fn.argtypes, fn.restype = prox._sweep_c.argtypes, prox._sweep_c.restype
+rng = np.random.default_rng(0)
+for case in range(50):
+    p = int(rng.integers(1, 300))
+    groups = [np.arange(p)] + [
+        np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))
+        for _ in range(int(rng.integers(1, 20)))]
+    g = GroupStructure(groups, rng.uniform(0.5, 2.0, len(groups)), p)
+    u = rng.normal(size=p) * (rng.random(p) < 0.7)
+    lam = float(rng.uniform(0.05, 1.0))
+    _, warm, _, _ = prox.structured_prox_dual(u, g, lam, max_iters=2)
+    out = []
+    for kernel in (fn, None):
+        prox._sweep_c = kernel
+        for init in (None, warm):
+            s, st, sweeps, change = prox.structured_prox_dual(
+                u, g, lam, tol=0.0, max_iters=40, init=init)
+            out.append((s.tobytes(), st.xi.tobytes(), sweeps, change))
+    if out[:2] != out[2:]:
+        sys.exit(f"case {case}: the kernel and numpy differ")
+print("50 cases bit-identical")
+"""
+
+
 class TestKernelBuild:
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
+    def test_kernel_warning_free_and_clean_under_asan(self, tmp_path):
+        run = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", *_CFLAGS,
+                              "-o", str(tmp_path / "strict.so"), str(_SOURCE),
+                              "-lm"], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        asan = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                              capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(asan) or modet.prox._sweep_c is None:
+            pytest.skip("libasan or the C sweep kernel is missing")
+        lib = tmp_path / "asan.so"
+        subprocess.run(["cc", "-fsanitize=address", "-g", "-O1",
+                        "-ffp-contract=off", "-fPIC", "-shared", "-o", str(lib),
+                        str(_SOURCE), "-lm"], check=True, capture_output=True)
+        src = str(Path(modet.__file__).resolve().parent.parent)
+        env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", ASAN_SCRIPT, str(lib)],
+                             env=env, capture_output=True, text=True,
+                             timeout=600)
+        assert run.returncode == 0, run.stderr[-4000:]
+        assert run.stdout.strip() == "50 cases bit-identical"
+
     def test_missing_compiler_falls_back(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="modet.prox"):
             fn = _load_kernel(cache_dir=tmp_path, cc=str(tmp_path / "no-cc"))

@@ -175,6 +175,27 @@ class TestSeparate:
         assert res.iters == 2
         assert res.final_delta > params.tau
 
+    def test_capped_prox_calls_counted(self):
+        # one sweep per prox call: every call on a frame with foreground
+        # stops at the cap with its dual still moving
+        rng = np.random.default_rng(0)
+        g = build_grid_groups(8, 8)
+        L = rng.normal(size=(64, 2)) / 8.0
+        s0 = np.zeros((8, 8))
+        s0[1:4, 1:4] = rng.uniform(0.5, 1.0, (3, 3))
+        d = Frame(L @ rng.normal(size=2) + s0.ravel(), 8, 8)
+        res = separate(d, L, g, make_params(64, max_prox_iters=1))
+        assert res.prox_sweeps > res.iters  # descent retries are counted
+        assert res.prox_capped == res.prox_sweeps
+
+    def test_easy_frame_has_no_capped_prox_call(self):
+        rng = np.random.default_rng(3)
+        g = build_grid_groups(4, 4)
+        L = rng.normal(size=(16, 2))
+        res = separate(Frame(rng.uniform(0, 1, 16), 4, 4), L, g, make_params(16))
+        assert res.prox_sweeps >= res.iters
+        assert res.prox_capped == 0
+
     def test_descent_on_benchmark_stream_noise_seed_15(self, tmp_path):
         # Scene seed 7 with noise seed 15, written and read back as 8-bit
         # PGM like the streaming benchmark's input: at frame 11 a prox call
