@@ -12,10 +12,24 @@
  * entries has changed bits since: that visit would read the same bits and
  * write the same bits back, so the skip changes nothing numpy computes.
  * Bits are compared, not values, because a visit may turn +0.0 into -0.0.
+ *
+ * The tail of the sweeps converges geometrically, so after a sweep whose
+ * change ratio r = change_k / change_{k-1} has settled (r < 1, within 2% of
+ * the previous ratio, at least WAIT sweeps since the last step, and not the
+ * last sweep), the rows the sweep changed jump to the limit of that
+ * geometric tail: x += r / (1 - r) * (x - prev), an Aitken step. Each
+ * changed row's pre-visit copy is kept in prev and its group in changed.
+ * WAIT sweeps after a step, a change above the change at the step disables
+ * the steps for the rest of the call. A call stops only after a plain
+ * sweep, so it never returns an extrapolated state. prox._colored_sweeps
+ * repeats all of this operation for operation.
  */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#define WAIT 5            /* sweeps between Aitken steps; prox._AITKEN_WAIT */
+#define RATIO_TOL 0.02    /* settled ratio; prox._AITKEN_RATIO_TOL */
 
 /* np.add.reduce's order for float64: 8 partial sums, then the tail. */
 static double pairwise_sum(const double *a, int64_t n)
@@ -45,6 +59,24 @@ static int same_bits(double a, double b)
     return memcmp(&a, &b, sizeof a) == 0;
 }
 
+/* Writes nw into *x and moves res[i] by the difference; flags group g and,
+ * when res[i] changes bits, every group on pixel i. Returns |nw - *x|. When
+ * nw has *x's bits nothing is written: the difference is +0.0, and
+ * res -= +0.0 changes no bit. */
+static double put(double *x, double nw, double *res, int64_t i, int64_t g,
+                  const int64_t *ptr, const int64_t *grp, int8_t *dirty)
+{
+    if (same_bits(nw, *x)) return 0.0;
+    dirty[g] = 1;
+    double d = nw - *x, r = res[i] - d;
+    if (!same_bits(r, res[i])) {
+        res[i] = r;
+        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++) dirty[grp[k]] = 1;
+    }
+    *x = nw;
+    return fabs(d);
+}
+
 /* Sweeps until the largest dual change of a sweep is <= tol or max_sweeps
  * ran; returns the sweeps run and stores the last sweep's change. idx and
  * xi are (n_order, width) row-major and order lists every group once;
@@ -52,14 +84,15 @@ static int same_bits(double a, double b)
  * 4*width doubles. iwork holds pad + 2 + n_order*width int64: the groups
  * covering pixel i are grp[ptr[i] .. ptr[i+1]], with ptr = iwork and
  * grp = iwork + pad + 2 (the range of pixel pad is empty). dirty holds
- * one flag per group. The groups of one color are disjoint, so visiting
- * them one at a time gives what numpy's batched step over the color
- * gives. */
+ * one flag per group, prev n_order*width doubles and changed n_order
+ * int64.
+ * The groups of one color are disjoint, so visiting them one at a time
+ * gives what numpy's batched step over the color gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     int64_t n_order, double *xi, double *res, int64_t pad,
                     const double *radii, int64_t max_sweeps, double tol,
                     double *work, int64_t *iwork, int8_t *dirty,
-                    double *change_out)
+                    double *prev, int64_t *changed, double *change_out)
 {
     double *v = work, *a = work + width, *u = work + 2 * width, *cs = work + 3 * width;
     int64_t *ptr = iwork, *grp = iwork + pad + 2, n = n_order * width;
@@ -73,11 +106,15 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
         if (idx[e] != pad) grp[ptr[idx[e] + 1]++] = e / width;
     memset(dirty, 1, (size_t)n_order);
 
-    double change = INFINITY;
-    int64_t sweeps = 0;
+    /* Aitken state: the previous change and ratio, the sweeps since the
+     * last step, the change at that step (-1 before the first) */
+    double change = INFINITY, last = INFINITY, ratio = 0.0, at_step = -1.0;
+    int64_t sweeps = 0, since = 0, n_changed;
+    int steps_on = 1;
     while (sweeps < max_sweeps) {
         sweeps++;
         change = 0.0;
+        n_changed = 0;
         for (int64_t o = 0; o < n_order; o++) {
             int64_t g = order[o];
             if (!dirty[g]) continue;
@@ -103,6 +140,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                 /* numpy indexes css[rho - 1], which wraps to the end at 0 */
                 theta = (cs[rho ? rho - 1 : width - 1] - rad) / (double)rho;
             }
+            int saved = 0;
             for (int64_t j = 0; j < width; j++) {
                 double nw = v[j];
                 if (rad == 0.0) {
@@ -112,21 +150,38 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     double sg = v[j] > 0.0 ? 1.0 : (v[j] < 0.0 ? -1.0 : 0.0);
                     nw = sg * (m > 0.0 ? m : 0.0);
                 }
-                /* same bits: d is +0.0, and res -= +0.0 changes no bit */
-                if (same_bits(nw, x[j])) continue;
-                dirty[g] = 1;
-                double d = nw - x[j], r = res[ix[j]] - d;
-                if (fabs(d) > change) change = fabs(d);
-                if (!same_bits(r, res[ix[j]])) {
-                    res[ix[j]] = r;
-                    for (int64_t k = ptr[ix[j]]; k < ptr[ix[j] + 1]; k++)
-                        dirty[grp[k]] = 1;
+                if (!saved && !same_bits(nw, x[j])) {
+                    /* entries before j are unchanged: the pre-visit row */
+                    memcpy(prev + g * width, x, (size_t)width * sizeof *x);
+                    changed[n_changed++] = g;
+                    saved = 1;
                 }
-                x[j] = nw;
+                double d = put(x + j, nw, res, ix[j], g, ptr, grp, dirty);
+                if (d > change) change = d;
             }
             res[pad] = 0.0;
         }
         if (change <= tol) break;
+        since++;
+        double r = last > 0.0 ? change / last : INFINITY;
+        if (since == WAIT && at_step >= 0.0 && change > at_step) steps_on = 0;
+        if (steps_on && since >= WAIT && r < 1.0
+            && fabs(r - ratio) < RATIO_TOL * r && sweeps < max_sweeps) {
+            double c = r / (1.0 - r);
+            for (int64_t l = 0; l < n_changed; l++) {
+                int64_t g = changed[l];
+                double *x = xi + g * width;
+                const double *p = prev + g * width;
+                for (int64_t j = 0; j < width; j++)
+                    put(x + j, x[j] + c * (x[j] - p[j]), res, idx[g * width + j],
+                        g, ptr, grp, dirty);
+            }
+            res[pad] = 0.0;
+            since = 0;
+            at_step = change;
+        }
+        last = change;
+        ratio = r;
     }
     *change_out = change;
     return sweeps;

@@ -61,6 +61,12 @@ def _parse_seg(text: str):
         ) from None
 
 
+def _frame_list(frames, shown=20) -> str:
+    text = " ".join(map(str, frames[:shown]))
+    return text + (f" and {len(frames) - shown} more"
+                   if len(frames) > shown else "")
+
+
 def cmd_run(args) -> int:
     source = iter_sequence(args.input)
     first = next(iter(source))
@@ -90,8 +96,11 @@ def cmd_run(args) -> int:
     gt = read_boxes_csv(args.gt) if args.gt else None
     history = []
     detections = {}
+    capped = {}  # frame index -> prox calls that hit the sweep cap
 
     def evaluate(frame, sep):
+        if sep.prox_capped:
+            capped[frame.index] = sep.prox_capped
         mask = threshold_mask(sep.foreground, mode=seg_mode, value=seg_value)
         boxes = connected_components(mask, height, width,
                                      min_area=args.min_area)
@@ -128,6 +137,10 @@ def cmd_run(args) -> int:
             checkpoint_path=ckpt,
         )
     write_boxes_csv(out / "detections.csv", detections)
+    if capped:
+        log.warning("%d prox calls stopped at the %d-sweep cap, in %d "
+                    "frames: %s", sum(capped.values()), params.max_prox_iters,
+                    len(capped), _frame_list(list(capped)))
     print(
         f"processed {summary.frames_processed} frames "
         f"({summary.mean_wall_ms:.1f} ms/frame), "

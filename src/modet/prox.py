@@ -21,6 +21,16 @@ residual entry touches through a pixel-to-group CSR that it builds at the
 start of each call in ``iwork`` (p + 2 row pointers, then the group lists),
 and keeps one dirty flag per group. The numpy path visits every group; the
 skip leaves sweep counts, changes, dual states and foregrounds bit-identical.
+
+Both backends accelerate the geometric tail of the sweeps with a
+safeguarded Aitken step. After sweep k, with r = change_k / change_{k-1}:
+when r < 1, r is within ``_AITKEN_RATIO_TOL`` (relative) of the previous
+ratio, at least ``_AITKEN_WAIT`` sweeps ran since the last step and k is not
+the last sweep, every dual row that sweep k changed moves to
+x + r / (1 - r) * (x - x_before), and the residual follows. If the change
+``_AITKEN_WAIT`` sweeps after a step exceeds the change at the step, the
+steps stop for the rest of the call. Only a plain sweep can meet the stop
+test, so a call never returns an extrapolated state.
 """
 
 from __future__ import annotations
@@ -44,6 +54,9 @@ _SOURCE = Path(__file__).with_name("_sweep.c")
 # No -march=native: the cached library must stay portable. No FMA
 # contraction: a fused multiply-add rounds differently from numpy.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# The Aitken step of the sweeps; _sweep.c defines the same WAIT and RATIO_TOL.
+_AITKEN_WAIT = 5
+_AITKEN_RATIO_TOL = 0.02
 
 
 def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
@@ -99,7 +112,7 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, ptr, ptr,
-                   ptr, ptr]
+                   ptr, ptr, ptr, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -225,12 +238,14 @@ def _c_sweeps(g, xi, res, radii, tol, max_iters):
     work = np.empty(4 * width)
     iwork = np.empty(g.p + 2 + n_groups * width, dtype=np.int64)
     dirty = np.empty(n_groups, dtype=np.int8)
+    prev = np.empty((n_groups, width))
+    changed = np.empty(n_groups, dtype=np.int64)
     change = ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, width, g.order.ctypes.data,
                       g.order.size, xi.ctypes.data, res.ctypes.data, g.p,
                       radii.ctypes.data, max_iters, tol, work.ctypes.data,
-                      iwork.ctypes.data, dirty.ctypes.data,
-                      ctypes.byref(change))
+                      iwork.ctypes.data, dirty.ctypes.data, prev.ctypes.data,
+                      changed.ctypes.data, ctypes.byref(change))
     return sweeps, change.value
 
 
@@ -239,7 +254,11 @@ def _colored_sweeps(g, xi, res, radii, tol, max_iters):
     change = np.inf
     sweeps = 0
     p = g.p
+    # Aitken state, as in _sweep.c: the previous change and ratio, the
+    # sweeps since the last step, the change at that step (None before it)
+    last, ratio, since, at_step, steps_on = np.inf, 0.0, 0, None, True
     for sweeps in range(1, max_iters + 1):
+        prev = xi.copy()
         change = 0.0
         for cls, idx, rad in steps:
             new = _project_l1_rows(res[idx] + xi[cls], rad)
@@ -250,6 +269,23 @@ def _colored_sweeps(g, xi, res, radii, tol, max_iters):
             xi[cls] = new
         if change <= tol:
             break
+        since += 1
+        r = change / last if last > 0.0 else np.inf
+        if since == _AITKEN_WAIT and at_step is not None and change > at_step:
+            steps_on = False
+        if (steps_on and since >= _AITKEN_WAIT and r < 1.0
+                and abs(r - ratio) < _AITKEN_RATIO_TOL * r
+                and sweeps < max_iters):
+            # the rows this sweep changed, in the kernel's visit order
+            moved = (xi.view(np.int64) != prev.view(np.int64)).any(axis=1)
+            rows = g.order[moved[g.order]]
+            x = xi[rows]
+            new = x + r / (1.0 - r) * (x - prev[rows])
+            np.subtract.at(res, g.index_matrix[rows].ravel(), (new - x).ravel())
+            res[p] = 0.0
+            xi[rows] = new
+            since, at_step = 0, change
+        last, ratio = change, r
     return sweeps, change
 
 

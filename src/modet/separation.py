@@ -14,9 +14,9 @@ from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
 from .prox import structured_prox_dual
 
-# Prox calls that resume a step that raised the cost, each at 1/100 of the
+# Prox calls that resume a step that raised the cost, at 1/100 of the
 # previous tolerance.
-_DESCENT_RETRIES = 2
+_DESCENT_RETRIES = 1
 
 
 def ridge_solve(
@@ -77,8 +77,8 @@ def separate(
     Starts cold at r = 0, s = 0 (or from the optional warm-start pair) and
     alternates the exact ridge step with the structured prox. The ridge step
     is exact, so a prox step that raises the cost at (r_new, s_prev) stopped
-    short; it is resumed from its dual state with a tighter tolerance, at
-    most twice, and then kept whatever its cost. Stops when
+    short; it is resumed once from its dual state at 1/100 of the
+    tolerance, and then kept whatever its cost. Stops when
     max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration budget
     runs out; a final_delta above tau flags the latter for the caller.
     """

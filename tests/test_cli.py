@@ -1,8 +1,13 @@
+import functools
+import logging
+
 import numpy as np
 import pytest
 
-from modet.cli import main
+import modet.cli
+from modet.cli import _frame_list, main
 from modet.detection import Box, write_boxes_csv
+from modet.model import HyperParams
 
 
 def read_rows(path):
@@ -60,7 +65,7 @@ def test_synth_bad_size_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_run_on_synthetic_sequence(small_sequence, tmp_path):
+def test_run_on_synthetic_sequence(small_sequence, tmp_path, caplog):
     out = tmp_path / "out"
     rc = main([
         "run", "--input", str(small_sequence), "--out", str(out),
@@ -74,11 +79,40 @@ def test_run_on_synthetic_sequence(small_sequence, tmp_path):
     # solver counters come before wall_ms, which stays last
     assert header[-3:] == ["prox_sweeps", "prox_capped", "wall_ms"]
     assert all(int(row[-3]) > 0 and int(row[-2]) >= 0 for row in rows)
+    # the capped-call warning appears exactly when the column counts one
+    assert ("sweep cap" in caplog.text) == any(int(row[-2]) for row in rows)
     assert (out / "model.ckpt").is_file()
     assert (out / "detections.csv").is_file()
     # detection columns populated when gt was given
     idx = header.index("f1_acc")
     assert rows[-1][idx] != ""
+
+
+def test_run_warns_once_about_capped_prox_calls(small_sequence, tmp_path,
+                                                monkeypatch, caplog):
+    # two sweeps per prox call: frames with a foreground hit the cap
+    monkeypatch.setattr(modet.cli, "HyperParams",
+                        functools.partial(HyperParams, max_prox_iters=2))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="modet.cli"):
+        rc = main(["run", "--input", str(small_sequence), "--out", str(out),
+                   "--rank", "4", "--downsample", "3"])
+    assert rc == 0
+    header, rows = read_rows(out / "metrics.csv")
+    col = header.index("prox_capped")
+    capped = {int(row[0]): int(row[col]) for row in rows if int(row[col])}
+    assert capped
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "modet.cli" and r.levelno == logging.WARNING]
+    assert warnings == [
+        f"{sum(capped.values())} prox calls stopped at the 2-sweep cap, in "
+        f"{len(capped)} frames: " + " ".join(map(str, capped))]
+
+
+def test_frame_list_names_the_first_twenty():
+    assert _frame_list([3, 7]) == "3 7"
+    assert _frame_list(list(range(25))) == (
+        " ".join(map(str, range(20))) + " and 5 more")
 
 
 def test_run_echoes_default_lambda1(small_sequence, tmp_path):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modet
 import modet.prox
@@ -62,6 +64,53 @@ def simplex_grid_oracle_3d(v, radius, rounds=4, n=201):
         hi = np.array([min(radius, c0 + 2 * step0), min(radius, c1 + 2 * step1)])
     w = np.array([c0, c1, radius - c0 - c1])
     return np.sign(v) * np.maximum(w, 0.0)
+
+
+@st.composite
+def small_structures(draw):
+    """A random desk-scale structure (p <= 16, <= 8 groups), u and lambda2."""
+    p = draw(st.integers(1, 16))
+    groups = draw(st.lists(st.sets(st.integers(0, p - 1), min_size=1),
+                           min_size=1, max_size=7))
+    uncovered = set(range(p)).difference(*groups)
+    if uncovered:
+        groups.append(uncovered)
+    weights = draw(st.lists(st.floats(0.5, 2.0), min_size=len(groups),
+                            max_size=len(groups)))
+    u = draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+    g = GroupStructure([sorted(grp) for grp in groups], weights, p)
+    return g, np.array(u), draw(st.floats(0.05, 1.0))
+
+
+def plain_bcd(u, g, lam2, tol, init=None, max_iters=100_000):
+    """Reference: the color-major dual sweeps with no extrapolation step.
+
+    Returns the foreground and the sweeps run.
+    """
+    radii = lam2 * g.weights
+    xi = np.zeros(g.index_matrix.shape) if init is None else init.xi.copy()
+    res = np.zeros(g.p + 1)
+    np.subtract.at(res, g.index_matrix.ravel(), xi.ravel())
+    res[:g.p] += u
+    res[g.p] = 0.0
+    for sweeps in range(1, max_iters + 1):
+        change = 0.0
+        for cls in g.colors:
+            idx = g.index_matrix[cls]
+            new = _project_l1_rows(res[idx] + xi[cls], radii[cls])
+            delta = new - xi[cls]
+            change = max(change, float(np.abs(delta).max(initial=0.0)))
+            res[idx] -= delta
+            res[g.p] = 0.0
+            xi[cls] = new
+        if change <= tol:
+            return res[:g.p].copy(), sweeps
+    raise AssertionError("the reference sweeps did not converge")
+
+
+def gaussian_blob(shift=0):
+    yy, xx = np.mgrid[:64, :64]
+    return np.exp(-((yy - 30) ** 2 + (xx - 22 - shift) ** 2) / 32.0).ravel()
 
 
 class TestProjectL1Ball:
@@ -214,6 +263,23 @@ class TestStructuredProx:
         cold, _, _, _ = structured_prox_dual(u2, g, 0.3, tol=1e-11, max_iters=5000)
         assert np.abs(warm - cold).max() < 1e-8
 
+    def test_reaches_plain_sweeps_fixed_point_in_fewer_sweeps(self):
+        # a 64x64 Gaussian blob: the plain sweeps converge geometrically
+        # over tens of sweeps, so the extrapolation step fires
+        g = build_grid_groups(64, 64)
+        lam2, tol = 0.16, 1e-8
+        _, done, _, _ = structured_prox_dual(gaussian_blob(), g, lam2,
+                                             tol=1e-12, max_iters=5000)
+        for u, init in ((gaussian_blob(), None), (gaussian_blob(1), done)):
+            fixed, _ = plain_bcd(u, g, lam2, tol=1e-14, init=init)
+            plain, plain_sweeps = plain_bcd(u, g, lam2, tol=tol, init=init)
+            s, _, sweeps, change = structured_prox_dual(u, g, lam2, tol=tol,
+                                                        init=init)
+            assert change <= tol
+            assert np.abs(plain - fixed).max() <= 10 * tol
+            assert np.abs(s - fixed).max() <= 10 * tol
+            assert sweeps < plain_sweeps
+
     def test_rejects_bad_inputs(self):
         g = two_group_structure()
         with pytest.raises(ValueError):
@@ -231,6 +297,21 @@ class TestStructuredProx:
 @pytest.mark.usefixtures("numpy_backend")
 class TestStructuredProxNumpy(TestStructuredProx):
     """The same cases on the numpy fallback."""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_structures())
+def test_prox_matches_oracle_on_random_structures(case):
+    g, u, lam2 = case
+    ref = oracle_prox(u, g, lam2)
+    kernel = modet.prox._sweep_c
+    try:
+        for backend in (kernel, None):  # C (when built), then numpy
+            modet.prox._sweep_c = backend
+            s = structured_prox(u, g, lam2, tol=1e-11, max_iters=5000)
+            assert np.abs(s - ref).max() < 1e-5
+    finally:
+        modet.prox._sweep_c = kernel
 
 
 def random_structure(rng, p):
@@ -280,6 +361,16 @@ class TestBackends:
         u = rng.normal(0, 0.1, 36)
         u[::4] = -0.0
         cases.append((g, u, 0.05))
+        # the extrapolation step fires on the 64x64 grids and on the random
+        # structures of 40 and 300 pixels above, and repeatedly on the
+        # blob; on the two sparse grids after it, it fires once, and five
+        # sweeps later the safeguard turns it off
+        cases.append((build_grid_groups(64, 64), gaussian_blob(), 0.16))
+        for n, seed in ((12, 16), (16, 13)):
+            r = np.random.default_rng(seed)
+            cases.append((build_grid_groups(n, n),
+                          r.normal(0, 0.3, n * n) * (r.random(n * n) < 0.3),
+                          0.16))
         for g, u, lam in cases:
             # tol=0 keeps sweeping after the dual has settled, with nearly
             # every group left unchanged by its last visit
@@ -323,35 +414,43 @@ class TestBackends:
 
 
 # Runs a kernel library given on the command line against the numpy sweeps
-# on random structures with padded rows, cold and warm-started.
+# on random structures with padded rows, cold and warm-started, where the
+# extrapolation step fires, and on two sparse grids where its safeguard
+# turns it off.
 ASAN_SCRIPT = """
 import ctypes, sys
 import numpy as np
 import modet.prox as prox
-from modet.groups import GroupStructure
+from modet.groups import GroupStructure, build_grid_groups
 
 fn = ctypes.CDLL(sys.argv[1]).dual_sweeps
 fn.argtypes, fn.restype = prox._sweep_c.argtypes, prox._sweep_c.restype
 rng = np.random.default_rng(0)
+cases = []
 for case in range(50):
     p = int(rng.integers(1, 300))
     groups = [np.arange(p)] + [
         np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))
         for _ in range(int(rng.integers(1, 20)))]
     g = GroupStructure(groups, rng.uniform(0.5, 2.0, len(groups)), p)
-    u = rng.normal(size=p) * (rng.random(p) < 0.7)
-    lam = float(rng.uniform(0.05, 1.0))
+    cases.append((g, rng.normal(size=p) * (rng.random(p) < 0.7),
+                  float(rng.uniform(0.05, 1.0)), 40))
+for n, seed in ((12, 16), (16, 13)):
+    r = np.random.default_rng(seed)
+    cases.append((build_grid_groups(n, n),
+                  r.normal(0, 0.3, n * n) * (r.random(n * n) < 0.3), 0.16, 60))
+for case, (g, u, lam, sweeps) in enumerate(cases):
     _, warm, _, _ = prox.structured_prox_dual(u, g, lam, max_iters=2)
     out = []
     for kernel in (fn, None):
         prox._sweep_c = kernel
         for init in (None, warm):
-            s, st, sweeps, change = prox.structured_prox_dual(
-                u, g, lam, tol=0.0, max_iters=40, init=init)
-            out.append((s.tobytes(), st.xi.tobytes(), sweeps, change))
+            s, st, n, change = prox.structured_prox_dual(
+                u, g, lam, tol=0.0, max_iters=sweeps, init=init)
+            out.append((s.tobytes(), st.xi.tobytes(), n, change))
     if out[:2] != out[2:]:
         sys.exit(f"case {case}: the kernel and numpy differ")
-print("50 cases bit-identical")
+print(f"{len(cases)} cases bit-identical")
 """
 
 
@@ -378,7 +477,7 @@ class TestKernelBuild:
                              env=env, capture_output=True, text=True,
                              timeout=600)
         assert run.returncode == 0, run.stderr[-4000:]
-        assert run.stdout.strip() == "50 cases bit-identical"
+        assert run.stdout.strip() == "52 cases bit-identical"
 
     def test_missing_compiler_falls_back(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="modet.prox"):

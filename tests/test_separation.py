@@ -166,10 +166,14 @@ class TestSeparate:
         assert np.abs(d.pixels - res.background - res.foreground).max() <= 10 * eps
 
     def test_budget_exhaustion_is_flagged_not_raised(self):
+        # a 3x3 foreground block on a rank-3 background: the separation
+        # needs about 50 iterations to reach tau, so 2 leave it well short
         rng = np.random.default_rng(9)
         g = build_grid_groups(5, 5)
         L = rng.normal(size=(25, 3))
-        d = Frame(rng.uniform(0, 1, 25), 5, 5)
+        s0 = np.zeros((5, 5))
+        s0[1:4, 1:4] = 3.0
+        d = Frame(L @ rng.normal(size=3) + s0.ravel(), 5, 5)
         params = make_params(25, rank=3, tau=1e-14, max_sep_iters=2)
         res = separate(d, L, g, params)
         assert res.iters == 2
