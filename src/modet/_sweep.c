@@ -2,10 +2,10 @@
  *
  * Visits the groups in the given color-major order and repeats, operation
  * for operation, the floating-point arithmetic of prox._colored_sweeps:
- * numpy's pairwise row sum, a descending sort (insertion sort: groups
- * are small windows), a sequential cumsum and rho = #{u_k * k > css_k -
- * rad}. Built with -ffp-contract=off so no multiply-add is fused; the
- * results are then bit-identical to numpy's.
+ * a sequential row l1 sum, a descending sort (insertion sort: groups are
+ * small windows), a sequential cumsum and rho = #{u_k * k > css_k - rad}.
+ * Built with -ffp-contract=off so no multiply-add is fused; the results
+ * are then bit-identical to numpy's.
  *
  * A visit reads only its group's res entries and xi row. It skips a group
  * whose last visit rewrote no bit of its xi row and none of whose res
@@ -14,45 +14,19 @@
  * Bits are compared, not values, because a visit may turn +0.0 into -0.0.
  *
  * The tail of the sweeps converges geometrically, so after a sweep whose
- * change ratio r = change_k / change_{k-1} has settled (r < 1, within 2% of
- * the previous ratio, at least WAIT sweeps since the last step, and not the
- * last sweep), the rows the sweep changed jump to the limit of that
- * geometric tail: x += r / (1 - r) * (x - prev), an Aitken step. Each
- * changed row's pre-visit copy is kept in prev and its group in changed.
- * WAIT sweeps after a step, a change above the change at the step disables
- * the steps for the rest of the call. A call stops only after a plain
- * sweep, so it never returns an extrapolated state. prox._colored_sweeps
- * repeats all of this operation for operation.
+ * change ratio r = change_k / change_{k-1} has settled (r < 1, within
+ * ratio_tol of the previous ratio, at least wait sweeps since the last
+ * step, and not the last sweep), the rows the sweep changed jump to the
+ * limit of that geometric tail: x += r / (1 - r) * (x - prev), an Aitken
+ * step. wait sweeps after a step, a change above the change at the step
+ * disables the steps for the rest of the call. A call stops only after a
+ * plain sweep, so it never returns an extrapolated state.
+ * prox._colored_sweeps repeats all of this operation for operation.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
-
-#define WAIT 5            /* sweeps between Aitken steps; prox._AITKEN_WAIT */
-#define RATIO_TOL 0.02    /* settled ratio; prox._AITKEN_RATIO_TOL */
-
-/* np.add.reduce's order for float64: 8 partial sums, then the tail. */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double s = 0.0;
-        for (int64_t i = 0; i < n; i++) s += a[i];
-        return s;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i, j;
-        for (j = 0; j < 8; j++) r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (j = 0; j < 8; j++) r[j] += a[i + j];
-        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++) s += a[i];
-        return s;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
 
 static int same_bits(double a, double b)
 {
@@ -78,26 +52,34 @@ static double put(double *x, double nw, double *res, int64_t i, int64_t g,
 }
 
 /* Sweeps until the largest dual change of a sweep is <= tol or max_sweeps
- * ran; returns the sweeps run and stores the last sweep's change. idx and
- * xi are (n_order, width) row-major and order lists every group once;
- * padded entries of idx point at res[pad], which must read 0. work holds
- * 4*width doubles. iwork holds pad + 2 + n_order*width int64: the groups
- * covering pixel i are grp[ptr[i] .. ptr[i+1]], with ptr = iwork and
- * grp = iwork + pad + 2 (the range of pixel pad is empty). dirty holds
- * one flag per group, prev n_order*width doubles and changed n_order
- * int64.
+ * ran; returns the sweeps run and stores the last sweep's change, or
+ * returns -1 when the scratch cannot be allocated. idx and xi are
+ * (n_order, width) row-major and order lists every group once; padded
+ * entries of idx point at res[pad], which must read 0. wait and ratio_tol
+ * are the Aitken step's constants.
  * The groups of one color are disjoint, so visiting them one at a time
  * gives what numpy's batched step over the color gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     int64_t n_order, double *xi, double *res, int64_t pad,
                     const double *radii, int64_t max_sweeps, double tol,
-                    double *work, int64_t *iwork, int8_t *dirty,
-                    double *prev, int64_t *changed, double *change_out)
+                    int64_t wait, double ratio_tol, double *change_out)
 {
-    double *v = work, *a = work + width, *u = work + 2 * width, *cs = work + 3 * width;
-    int64_t *ptr = iwork, *grp = iwork + pad + 2, n = n_order * width;
-    /* pixel -> group CSR: count pixel i at ptr[i + 2], prefix-sum, then
-     * fill through ptr[i + 1], which leaves ptr[i] at pixel i's start */
+    int64_t n = n_order * width;
+    /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
+     * the pixel -> group CSR (the groups on pixel i are grp[ptr[i] ..
+     * ptr[i + 1]], and pixel pad has none); the changed groups; and one
+     * dirty flag per group */
+    double *work = malloc((size_t)(4 * width + n) * sizeof(double)
+                          + (size_t)(pad + 2 + n + n_order) * sizeof(int64_t)
+                          + (size_t)n_order);
+    if (!work) return -1;
+    double *v = work, *a = work + width, *u = work + 2 * width;
+    double *cs = work + 3 * width, *prev = work + 4 * width;
+    int64_t *ptr = (int64_t *)(prev + n), *grp = ptr + pad + 2;
+    int64_t *changed = grp + n;
+    int8_t *dirty = (int8_t *)(changed + n_order);
+    /* CSR: count pixel i at ptr[i + 2], prefix-sum, then fill through
+     * ptr[i + 1], which leaves ptr[i] at pixel i's start */
     memset(ptr, 0, (size_t)(pad + 2) * sizeof *ptr);
     for (int64_t e = 0; e < n; e++)
         if (idx[e] != pad) ptr[idx[e] + 2]++;
@@ -120,12 +102,13 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             if (!dirty[g]) continue;
             dirty[g] = 0;
             const int64_t *ix = idx + g * width;
-            double *x = xi + g * width, rad = radii[g], theta = 0.0;
+            double *x = xi + g * width, rad = radii[g], theta = 0.0, l1 = 0.0;
             for (int64_t j = 0; j < width; j++) {
                 v[j] = res[ix[j]] + x[j];
                 a[j] = fabs(v[j]);
+                l1 += a[j];
             }
-            int outside = rad != 0.0 && pairwise_sum(a, width) > rad;
+            int outside = rad != 0.0 && l1 > rad;
             if (outside) {
                 for (int64_t j = 0; j < width; j++) { /* insertion sort */
                     int64_t k = j;
@@ -164,9 +147,9 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
         if (change <= tol) break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
-        if (since == WAIT && at_step >= 0.0 && change > at_step) steps_on = 0;
-        if (steps_on && since >= WAIT && r < 1.0
-            && fabs(r - ratio) < RATIO_TOL * r && sweeps < max_sweeps) {
+        if (since == wait && at_step >= 0.0 && change > at_step) steps_on = 0;
+        if (steps_on && since >= wait && r < 1.0
+            && fabs(r - ratio) < ratio_tol * r && sweeps < max_sweeps) {
             double c = r / (1.0 - r);
             for (int64_t l = 0; l < n_changed; l++) {
                 int64_t g = changed[l];
@@ -183,6 +166,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
         last = change;
         ratio = r;
     }
+    free(work);
     *change_out = change;
     return sweeps;
 }

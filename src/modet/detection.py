@@ -56,18 +56,12 @@ def threshold_mask(s: np.ndarray, mode: str = "fixed", value: float = 0.1):
     return a >= theta
 
 
-_OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1),
+            (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def connected_components(
-    mask: np.ndarray,
-    H: int,
-    W: int,
-    connectivity: int = 8,
-    min_area: int = 2,
-):
-    """Bounding boxes of connected true-regions, sorted by (y, x).
+def connected_components(mask: np.ndarray, H: int, W: int, min_area: int = 2):
+    """Bounding boxes of 8-connected true-regions, sorted by (y, x).
 
     Components smaller than ``min_area`` pixels are dropped. Each true pixel
     takes the smallest raster number in its component by min-label
@@ -77,14 +71,11 @@ def connected_components(
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != H * W:
         raise ValueError(f"mask length {mask.size} != {H}x{W}")
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
     ys, xs = np.nonzero(mask.reshape(H, W))
     n = ys.size
     number = np.full((H + 2, W + 2), n)  # n marks "no true pixel"
     number[ys + 1, xs + 1] = np.arange(n)
-    offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
-    nbrs = np.stack([number[ys + 1 + dy, xs + 1 + dx] for dy, dx in offsets])
+    nbrs = np.stack([number[ys + 1 + dy, xs + 1 + dx] for dy, dx in _OFFSETS])
     lab = np.arange(n + 1)
     while True:
         new = lab.copy()

@@ -13,15 +13,15 @@ class GroupStructure:
     positive definite.
 
     ``groups`` is a list of index sequences, or a 2-D integer array with one
-    group per row. Internally the groups are packed into one padded index
-    matrix (pad value p, pointing at a scratch slot that always reads 0) and
-    partitioned into color classes of pairwise-disjoint groups, which lets
-    block-coordinate sweeps over the dual run one color at a time.
-    ``color_of``, one label per group, gives a known proper coloring (the
-    builder of a regular grid has one in closed form); without it a greedy
-    coloring is computed. ``order`` lists the groups color-major (colors in
-    sequence, each color's groups in index order) and ``color_ptr`` delimits
-    the colors in it.
+    group per row, padded at the end with p. Either way the groups are
+    stored as that padded ``index_matrix`` (the pad points at a scratch slot
+    that always reads 0) and partitioned into color classes of
+    pairwise-disjoint groups, which lets block-coordinate sweeps over the
+    dual run one color at a time. ``color_of``, one label per group, gives
+    a known proper coloring (the builder of a regular grid has one in
+    closed form); without it a greedy coloring is computed. ``colors``
+    holds each class's groups in index order, and ``order`` lists the
+    groups color-major, the classes in sequence.
     """
 
     def __init__(self, groups, weights, p: int, color_of=None):
@@ -30,44 +30,41 @@ class GroupStructure:
         self.p = int(p)
         if isinstance(groups, np.ndarray) and groups.ndim == 2:
             matrix = np.ascontiguousarray(groups, dtype=np.int64)
-            self.groups = list(matrix)
         else:
-            self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
-            matrix = None
+            groups = [np.asarray(g, dtype=np.int64) for g in groups]
+            sizes = np.array([g.size for g in groups], dtype=np.int64)
+            matrix = np.full((sizes.size, sizes.max(initial=0)), self.p,
+                             dtype=np.int64)
+            flat = np.concatenate(groups) if groups else np.empty(0, np.int64)
+            # a listed index p would read as padding: fail the range check
+            matrix[np.arange(matrix.shape[1]) < sizes[:, None]] = np.where(
+                flat == self.p, -1, flat)
         self.weights = np.asarray(weights, dtype=np.float64)
-        if len(self.groups) == 0:
+        self.n_groups = matrix.shape[0]
+        if self.n_groups == 0:
             raise ValueError("at least one group is required")
-        if self.weights.shape != (len(self.groups),):
+        if self.weights.shape != (self.n_groups,):
             raise ValueError("one weight per group is required")
         if np.any(self.weights <= 0):
             raise ValueError("group weights must be positive")
 
-        self.n_groups = len(self.groups)
-        self.sizes = np.array([g.size for g in self.groups], dtype=np.int64)
-        if not self.sizes.all():
-            raise ValueError(f"group {int(np.argmin(self.sizes))} is empty")
-        self.max_size = int(self.sizes.max())
-        flat = matrix.ravel() if matrix is not None else np.concatenate(self.groups)
-        owner = np.repeat(np.arange(self.n_groups), self.sizes)
-        bad = (flat < 0) | (flat >= self.p)
+        pad = matrix == self.p
+        bad = pad.all(axis=1)
         if bad.any():
-            raise ValueError(f"group {owner[np.argmax(bad)]} has indices "
+            raise ValueError(f"group {int(np.argmax(bad))} is empty")
+        bad = ((matrix < 0) | (matrix > self.p)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"group {int(np.argmax(bad))} has indices "
                              f"outside [0, {self.p})")
-        bad = (np.diff(flat) <= 0) & (owner[1:] == owner[:-1])
+        # strictly increasing, then padding to the end of the row
+        bad = ((np.diff(matrix, axis=1) <= 0) & ~pad[:, 1:]).any(axis=1)
         if bad.any():
-            raise ValueError(f"group {owner[np.argmax(bad)]} indices must be "
+            raise ValueError(f"group {int(np.argmax(bad))} indices must be "
                              "strictly increasing")
-        covered = np.bincount(flat, minlength=self.p) > 0
+        covered = np.bincount(matrix.ravel(), minlength=self.p + 1)[: self.p] > 0
         if not covered.all():
             missing = int(np.argmin(covered))
             raise ValueError(f"pixel {missing} is not covered by any group")
-
-        # Padded (n_groups, max_size) index matrix; pad slot is index p.
-        if matrix is None:
-            matrix = np.full((self.n_groups, self.max_size), self.p,
-                             dtype=np.int64)
-            starts = np.cumsum(self.sizes) - self.sizes
-            matrix[owner, np.arange(flat.size) - starts[owner]] = flat
         self.index_matrix = matrix
 
         if color_of is None:
@@ -78,13 +75,14 @@ class GroupStructure:
                 raise ValueError("one color label per group is required")
             _, color_of = np.unique(color_of, return_inverse=True)
             # proper: no pixel is covered twice by groups of one color
-            keys = np.sort(color_of[owner] * self.p + flat)
-            if (np.diff(keys) == 0).any():
+            slots = (color_of[:, None] * (self.p + 1) + matrix).ravel()
+            counts = np.bincount(slots, minlength=(color_of.max() + 1)
+                                 * (self.p + 1)).reshape(-1, self.p + 1)
+            if (counts[:, : self.p] > 1).any():
                 raise ValueError("groups of one color must be disjoint")
         self.order = np.argsort(color_of, kind="stable").astype(np.int64)
-        self.color_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(color_of)))).astype(np.int64)
-        self.colors = np.split(self.order, self.color_ptr[1:-1])
+        self.colors = np.split(self.order,
+                               np.cumsum(np.bincount(color_of))[:-1])
 
     def _greedy_colors(self) -> np.ndarray:
         """Greedy coloring of the group-overlap graph, one label per group.
@@ -94,21 +92,16 @@ class GroupStructure:
         """
         pixel_owner = [[] for _ in range(self.p)]
         color_of = np.full(self.n_groups, -1, dtype=np.int64)
-        for i, g in enumerate(self.groups):
-            taken = set()
-            for px in g:
-                for j in pixel_owner[px]:
-                    taken.add(color_of[j])
+        for i, row in enumerate(self.index_matrix.tolist()):
+            pixels = [px for px in row if px != self.p]
+            taken = {color_of[j] for px in pixels for j in pixel_owner[px]}
             c = 0
             while c in taken:
                 c += 1
             color_of[i] = c
-            for px in g:
+            for px in pixels:
                 pixel_owner[px].append(i)
         return color_of
-
-    def __len__(self) -> int:
-        return self.n_groups
 
 
 def build_grid_groups(H: int, W: int, k: int = 3) -> GroupStructure:

@@ -92,22 +92,18 @@ class SubspaceModel:
         return self.basis.shape[1]
 
 
-def init_subspace(
-    p: int, params: HyperParams, seed: int, scale: float | None = None
-) -> SubspaceModel:
+def init_subspace(p: int, params: HyperParams, seed: int) -> SubspaceModel:
     """Fresh model with a randomly initialized basis and zero accumulators.
 
     Entries are i.i.d. standard normal scaled by 1/sqrt(p) (so initial
-    reconstructions are O(1) in magnitude); ``scale`` overrides that factor.
-    The same seed always yields a bit-identical basis.
+    reconstructions are O(1) in magnitude). The same seed always yields a
+    bit-identical basis.
     """
     r = params.rank
     if p < r:
         raise ValueError(f"p={p} must be >= rank={r}")
-    if scale is None:
-        scale = 1.0 / math.sqrt(p)
     rng = np.random.default_rng(seed)
-    basis = rng.standard_normal((p, r)) * scale
+    basis = rng.standard_normal((p, r)) * (1.0 / math.sqrt(p))
     return SubspaceModel(
         basis=basis,
         accA=np.zeros((r, r)),

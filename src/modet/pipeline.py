@@ -129,14 +129,13 @@ def run_sequence(
     diagnostics: bool = False,
     evaluator=None,
     checkpoint_path=None,
-    phase: int = 0,
 ) -> RunSummary:
     """Consume a frame iterator and run the online loop over it.
 
-    Only frames whose index is congruent to ``phase`` modulo ``downsample``
-    are processed. Each processed frame yields a flat record dict that is
-    passed to every sink; ``evaluator(frame, separation)``, when given, may
-    return extra fields to merge in (detection scores, typically). Group
+    Only frames whose index is a multiple of ``downsample`` are processed.
+    Each processed frame yields a flat record dict that is passed to every
+    sink; ``evaluator(frame, separation)``, when given, may return extra
+    fields to merge in (detection scores, typically). Group
     structure, hyperparameters and the model are created lazily from the
     first frame's shape. Returns run totals plus the final model.
     """
@@ -149,7 +148,7 @@ def run_sequence(
     wall_total = 0.0
     tracker = SurrogateTracker() if diagnostics else None
     for frame in source:
-        if frame.index % downsample != phase % downsample:
+        if frame.index % downsample:
             continue
         if model is None:
             height, width = frame.height, frame.width
@@ -169,6 +168,7 @@ def run_sequence(
             "final_delta": out.separation.final_delta,
             "fg_energy": float(np.linalg.norm(out.separation.foreground)),
             "basis_delta": out.basis_delta,
+            "g_cost": out.g_cost,
             "prox_sweeps": out.separation.prox_sweeps,
             "prox_capped": out.separation.prox_capped,
             "wall_ms": out.wall_time * 1e3,

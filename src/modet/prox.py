@@ -10,17 +10,16 @@ A sweep visits the groups color-major: the color classes in sequence, the
 groups of one color in index order. Two backends run that one schedule: a
 small C kernel (``_sweep.c``), compiled with the system ``cc`` once per
 source hash and loaded through ctypes when this module is imported, and a
-vectorized numpy path that batches each color class into one step. The
-kernel repeats numpy's floating-point operations in numpy's order, so both
-give bit-identical results. ``BACKEND`` names the one this process uses.
+vectorized numpy path that batches each color class into one step. Both
+run the same floating-point operations in the same order, the row l1 sums
+included (sequential, written out in both), so they give bit-identical
+results. ``BACKEND`` names the one this process uses.
 
 The kernel also skips a group whose last visit rewrote no bit of its dual
 row while no residual entry on its pixels has changed bits since: that
-visit would read and write the same bits. It finds the groups a changed
-residual entry touches through a pixel-to-group CSR that it builds at the
-start of each call in ``iwork`` (p + 2 row pointers, then the group lists),
-and keeps one dirty flag per group. The numpy path visits every group; the
-skip leaves sweep counts, changes, dual states and foregrounds bit-identical.
+visit would read and write the same bits. The numpy path visits every
+group; the skip leaves sweep counts, changes, dual states and foregrounds
+bit-identical.
 
 Both backends accelerate the geometric tail of the sweeps with a
 safeguarded Aitken step. After sweep k, with r = change_k / change_{k-1}:
@@ -41,7 +40,6 @@ import logging
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +52,7 @@ _SOURCE = Path(__file__).with_name("_sweep.c")
 # No -march=native: the cached library must stay portable. No FMA
 # contraction: a fused multiply-add rounds differently from numpy.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# The Aitken step of the sweeps; _sweep.c defines the same WAIT and RATIO_TOL.
+# The Aitken step of the sweeps; both backends read these.
 _AITKEN_WAIT = 5
 _AITKEN_RATIO_TOL = 0.02
 
@@ -111,8 +109,8 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, ptr, ptr,
-                   ptr, ptr, ptr, ptr]
+    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, i64, f64,
+                   ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -155,7 +153,8 @@ def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
     if zero_rad.any():
         out[zero_rad] = 0.0
     A = np.abs(V)
-    outside = (A.sum(axis=1) > radius) & ~zero_rad
+    # a sequential sum, as _sweep.c adds: A.sum() would sum pairwise
+    outside = (np.cumsum(A, axis=1)[:, -1] > radius) & ~zero_rad
     if not outside.any():
         return out
     Ao = A[outside]
@@ -167,18 +166,6 @@ def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
     theta = (css[np.arange(Ao.shape[0]), rho - 1] - rad) / rho
     out[outside] = np.sign(V[outside]) * np.maximum(Ao - theta[:, None], 0.0)
     return out
-
-
-@dataclass
-class DualState:
-    """Dual variables of the structured prox, one padded row per group.
-
-    ``xi`` has shape (n_groups, max_size) aligned with the group index
-    matrix; padded slots are zero. ``residual`` equals u - sum_g xi_g.
-    """
-
-    xi: np.ndarray
-    residual: np.ndarray
 
 
 def _scatter_sum(xi: np.ndarray, g: GroupStructure) -> np.ndarray:
@@ -193,15 +180,17 @@ def structured_prox_dual(
     lambda2: float,
     tol: float = 1e-8,
     max_iters: int = 200,
-    init: DualState | None = None,
+    init: np.ndarray | None = None,
 ):
-    """Solve the structured prox; return (s, DualState, sweeps, last_change).
+    """Solve the structured prox; return (s, xi, sweeps, last_change).
 
     Cyclic block coordinate descent over the dual group variables, each block
     step an exact l1-ball projection of the current group residual. A sweep
     visits every group once, color-major; iteration stops when the largest
     single dual entry change in a sweep drops to ``tol`` or after
-    ``max_iters`` sweeps. ``init`` warm-starts the dual variables.
+    ``max_iters`` sweeps. ``xi`` is the dual state, one row per group
+    aligned with ``g.index_matrix`` and zero in its padded slots; passing a
+    returned ``xi`` as ``init`` warm-starts the dual variables.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size != g.p:
@@ -213,7 +202,7 @@ def structured_prox_dual(
 
     radii = lambda2 * g.weights
     if init is not None:
-        xi = np.array(init.xi, dtype=np.float64, order="C")
+        xi = np.array(init, dtype=np.float64, order="C")
         if xi.shape != g.index_matrix.shape:
             raise ValueError("warm-start dual state does not match the groups")
     else:
@@ -228,24 +217,18 @@ def structured_prox_dual(
     sweeps, change = sweep(g, xi, res, radii, tol, int(max_iters))
 
     s = u - _scatter_sum(xi, g)
-    state = DualState(xi=xi, residual=res[: g.p].copy())
-    return s, state, int(sweeps), float(change)
+    return s, xi, int(sweeps), float(change)
 
 
 def _c_sweeps(g, xi, res, radii, tol, max_iters):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p]
-    n_groups, width = idx.shape
-    work = np.empty(4 * width)
-    iwork = np.empty(g.p + 2 + n_groups * width, dtype=np.int64)
-    dirty = np.empty(n_groups, dtype=np.int8)
-    prev = np.empty((n_groups, width))
-    changed = np.empty(n_groups, dtype=np.int64)
     change = ctypes.c_double()
-    sweeps = _sweep_c(idx.ctypes.data, width, g.order.ctypes.data,
+    sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
                       g.order.size, xi.ctypes.data, res.ctypes.data, g.p,
-                      radii.ctypes.data, max_iters, tol, work.ctypes.data,
-                      iwork.ctypes.data, dirty.ctypes.data, prev.ctypes.data,
-                      changed.ctypes.data, ctypes.byref(change))
+                      radii.ctypes.data, max_iters, tol, _AITKEN_WAIT,
+                      _AITKEN_RATIO_TOL, ctypes.byref(change))
+    if sweeps < 0:
+        raise MemoryError("the sweep kernel could not allocate its scratch")
     return sweeps, change.value
 
 

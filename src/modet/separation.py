@@ -69,18 +69,16 @@ def separate(
     L: np.ndarray,
     g: GroupStructure,
     params: HyperParams,
-    r0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
 ) -> SeparationResult:
     """Split one frame into background L@r and structured-sparse foreground s.
 
-    Starts cold at r = 0, s = 0 (or from the optional warm-start pair) and
-    alternates the exact ridge step with the structured prox. The ridge step
-    is exact, so a prox step that raises the cost at (r_new, s_prev) stopped
-    short; it is resumed once from its dual state at 1/100 of the
-    tolerance, and then kept whatever its cost. Stops when
-    max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration budget
-    runs out; a final_delta above tau flags the latter for the caller.
+    Starts cold at r = 0, s = 0 and alternates the exact ridge step with the
+    structured prox. The ridge step is exact, so a prox step that raises the
+    cost at (r_new, s_prev) stopped short; it is resumed once from its dual
+    state at 1/100 of the tolerance, and then kept whatever its cost. Stops
+    when max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration
+    budget runs out; a final_delta above tau flags the latter for the
+    caller.
     """
     pix = d.pixels
     p = pix.size
@@ -97,10 +95,10 @@ def separate(
     gram = L.T @ L + params.lambda1 * np.eye(L.shape[1])
     factor = cho_factor(gram, lower=True)
 
-    r = np.zeros(L.shape[1]) if r0 is None else np.asarray(r0, dtype=np.float64).copy()
-    s = np.zeros(p) if s0 is None else np.asarray(s0, dtype=np.float64).copy()
-    penalty = 0.0 if s0 is None else params.lambda2 * omega_norm(s, g)
-    state = None
+    r = np.zeros(L.shape[1])
+    s = np.zeros(p)
+    penalty = 0.0
+    xi = None  # the prox's dual state, carried across its calls
     trace = []
     delta = np.inf
     iters = 0
@@ -112,13 +110,13 @@ def separate(
         bound = frame_cost(u - s, r_new, penalty, params)
         tol = params.prox_tol
         for _ in range(1 + _DESCENT_RETRIES):
-            s_new, state, sweeps, change = structured_prox_dual(
+            s_new, xi, sweeps, change = structured_prox_dual(
                 u,
                 g,
                 params.lambda2,
                 tol=tol,
                 max_iters=params.max_prox_iters,
-                init=state,
+                init=xi,
             )
             sweeps_total += sweeps
             capped += int(sweeps >= params.max_prox_iters and change > tol)

@@ -129,6 +129,22 @@ def test_run_echoes_default_lambda1(small_sequence, tmp_path):
     assert len(rows) == 3  # frames 0, 10, 20
 
 
+def test_diagnostics_write_the_surrogate_cost(small_sequence, tmp_path):
+    for flags in (["--diagnostics"], []):
+        out = tmp_path / f"out{len(flags)}"
+        rc = main(["run", "--input", str(small_sequence), "--out", str(out),
+                   "--rank", "4", "--downsample", "10", *flags])
+        assert rc == 0
+        header, rows = read_rows(out / "metrics.csv")
+        assert header[header.index("basis_delta") + 1] == "g_cost"
+        col = header.index("g_cost")
+        assert len(rows) == 3
+        if flags:
+            assert all(np.isfinite(float(row[col])) for row in rows)
+        else:
+            assert all(row[col] == "" for row in rows)
+
+
 def test_run_dump_frames(small_sequence, tmp_path):
     out = tmp_path / "out"
     rc = main([

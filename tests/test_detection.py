@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from modet.detection import (
@@ -38,11 +38,10 @@ class TestThresholdMask:
             threshold_mask(np.zeros(4), mode="median", value=0.5)
 
 
-def reference_components(mask, H, W, connectivity=8, min_area=2):
+def reference_components(mask, H, W, min_area=2):
     """Depth-first flood fill over the pixels: the reference labelling."""
-    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    if connectivity == 8:
-        offsets += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1),
+               (-1, -1), (-1, 1), (1, -1), (1, 1)]
     grid = np.asarray(mask, dtype=bool).reshape(H, W)
     seen = np.zeros((H, W), dtype=bool)
     boxes = []
@@ -78,11 +77,11 @@ def masks(draw):
 
 class TestConnectedComponents:
     @settings(max_examples=150, deadline=None)
-    @given(masks(), st.sampled_from([4, 8]), st.integers(1, 5))
-    def test_matches_reference(self, m, connectivity, min_area):
+    @given(masks(), st.integers(1, 5))
+    def test_matches_reference(self, m, min_area):
         H, W = m.shape
-        got = connected_components(m.ravel(), H, W, connectivity, min_area)
-        assert got == reference_components(m, H, W, connectivity, min_area)
+        got = connected_components(m.ravel(), H, W, min_area)
+        assert got == reference_components(m, H, W, min_area)
 
     def test_pinned_shapes_match_reference(self):
         # a U with a short left arm, so its box corner (0, 0) is not one of
@@ -94,13 +93,10 @@ class TestConnectedComponents:
         m[6, 0:3] = True                           # bottom edge, bottom-left
         m[3:6, 8] = True                           # right edge
         m[5:7, 5] = True                           # bottom edge
-        for connectivity in (4, 8):
-            for min_area in (1, 2, 3, 5):
-                got = connected_components(m.ravel(), 7, 9, connectivity,
-                                           min_area)
-                assert got == reference_components(m, 7, 9, connectivity,
-                                                   min_area)
-        assert connected_components(m.ravel(), 7, 9, 4, 1) == [
+        for min_area in (1, 2, 3, 5):
+            got = connected_components(m.ravel(), 7, 9, min_area)
+            assert got == reference_components(m, 7, 9, min_area)
+        assert connected_components(m.ravel(), 7, 9, 1) == [
             Box(x=0, y=0, w=5, h=4), Box(x=2, y=0, w=1, h=1),
             Box(x=6, y=0, w=3, h=1), Box(x=8, y=3, w=1, h=3),
             Box(x=5, y=5, w=1, h=2), Box(x=0, y=6, w=3, h=1),
@@ -111,8 +107,8 @@ class TestConnectedComponents:
         m = np.zeros((5, 6), dtype=bool)
         m[0, 0] = True
         m[0:4, 5] = m[3, 0:6] = True
-        got = connected_components(m.ravel(), 5, 6, 4, 1)
-        assert got == reference_components(m, 5, 6, 4, 1)
+        got = connected_components(m.ravel(), 5, 6, 1)
+        assert got == reference_components(m, 5, 6, 1)
         assert got == [Box(x=0, y=0, w=1, h=1), Box(x=0, y=0, w=6, h=4)]
 
     def test_empty_mask(self):
@@ -128,10 +124,7 @@ class TestConnectedComponents:
         m = np.zeros((4, 4), dtype=bool)
         m[1, 1] = True
         m[2, 2] = True
-        assert len(connected_components(m.ravel(), 4, 4, connectivity=8,
-                                        min_area=1)) == 1
-        assert len(connected_components(m.ravel(), 4, 4, connectivity=4,
-                                        min_area=1)) == 2
+        assert len(connected_components(m.ravel(), 4, 4, min_area=1)) == 1
 
     def test_min_area_filter(self):
         m = np.zeros((6, 6), dtype=bool)
@@ -252,12 +245,19 @@ class TestMetricsWindow:
             metrics_window([])
 
 
+box_strategy = st.builds(Box, st.integers(0, 10_000), st.integers(0, 10_000),
+                         st.integers(1, 10_000), st.integers(1, 10_000))
+
+
 class TestBoxesCsv:
-    def test_round_trip(self, tmp_path):
-        by_frame = {
-            0: [Box(1, 2, 3, 4)],
-            2: [Box(0, 0, 1, 1), Box(5, 5, 2, 2)],
-        }
+    # the file is rewritten on every example, so one tmp_path serves all
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.dictionaries(st.integers(0, 10**6),
+                           st.lists(box_strategy, min_size=1, max_size=5),
+                           max_size=8))
+    @example({0: [Box(1, 2, 3, 4)], 2: [Box(0, 0, 1, 1), Box(5, 5, 2, 2)]})
+    def test_round_trip(self, tmp_path, by_frame):
         path = tmp_path / "gt.csv"
         write_boxes_csv(path, by_frame)
         again = read_boxes_csv(path)

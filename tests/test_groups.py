@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
 
@@ -17,9 +19,9 @@ def naive_omega(s, groups, weights):
 def test_grid_4x4_window3():
     g = build_grid_groups(4, 4, k=3)
     assert g.n_groups == 4
-    assert all(grp.size == 9 for grp in g.groups)
+    assert g.index_matrix.shape == (4, 9)
     origins = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for grp, (r, c) in zip(g.groups, origins):
+    for grp, (r, c) in zip(g.index_matrix, origins):
         expect = sorted((r + i) * 4 + (c + j) for i in range(3) for j in range(3))
         assert grp.tolist() == expect
 
@@ -27,7 +29,7 @@ def test_grid_4x4_window3():
 def test_grid_3x3_single_window():
     g = build_grid_groups(3, 3, k=3)
     assert g.n_groups == 1
-    assert g.groups[0].tolist() == list(range(9))
+    assert g.index_matrix.tolist() == [list(range(9))]
 
 
 def test_grid_5x4_count_and_coverage():
@@ -35,7 +37,7 @@ def test_grid_5x4_count_and_coverage():
     assert g.n_groups == 6
     # brute-force coverage check
     hit = set()
-    for grp in g.groups:
+    for grp in g.index_matrix:
         hit.update(grp.tolist())
     assert hit == set(range(20))
 
@@ -75,7 +77,7 @@ def test_omega_matches_naive_double_loop():
     for _ in range(25):
         s = rng.uniform(-2, 2, 16)
         assert omega_norm(s, g) == pytest.approx(
-            naive_omega(s, g.groups, g.weights), rel=1e-13
+            naive_omega(s, g.index_matrix, g.weights), rel=1e-13
         )
 
 
@@ -94,7 +96,8 @@ def test_omega_norm_properties():
         assert omega_norm(s1 + s2, g) <= omega_norm(s1, g) + omega_norm(s2, g) + 1e-12
         # dominates the largest weighted group max (full coverage positivity)
         per_group = max(
-            w * np.abs(s1[grp]).max() for grp, w in zip(g.groups, g.weights)
+            w * np.abs(s1[grp]).max()
+            for grp, w in zip(g.index_matrix, g.weights)
         )
         assert omega_norm(s1, g) >= per_group - 1e-15
     assert omega_norm(rng.uniform(0.5, 1.0, 25), g) > 0
@@ -113,7 +116,7 @@ def test_color_classes_are_disjoint_partitions():
     for cls in g.colors:
         used = np.zeros(g.p, dtype=bool)
         for gi in cls:
-            grp = g.groups[gi]
+            grp = g.index_matrix[gi]
             assert not used[grp].any()
             used[grp] = True
 
@@ -128,7 +131,6 @@ def test_grid_coloring_equals_greedy(H, W, k):
     for a, b in zip(g.colors, greedy.colors):
         assert np.array_equal(a, b)
     assert np.array_equal(g.order, np.concatenate(g.colors))
-    assert g.color_ptr.tolist() == [0, *np.cumsum([c.size for c in g.colors])]
 
 
 def test_given_coloring_must_be_proper():
@@ -137,3 +139,31 @@ def test_given_coloring_must_be_proper():
     g = GroupStructure([[0, 1], [1, 2], [2, 3]], [1.0] * 3, 4,
                        color_of=[7, 2, 7])
     assert [c.tolist() for c in g.colors] == [[1], [0, 2]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.sets(st.integers(0, p - 1), min_size=1),
+                         min_size=1, max_size=8))))
+def test_list_and_padded_array_store_the_same_layout(case):
+    p, groups = case
+    uncovered = set(range(p)).difference(*groups)
+    if uncovered:
+        groups.append(uncovered)
+    rows = [sorted(grp) for grp in groups]
+    width = max(map(len, rows))
+    padded = np.array([row + [p] * (width - len(row)) for row in rows])
+    a = GroupStructure(rows, np.ones(len(rows)), p)
+    b = GroupStructure(padded, np.ones(len(rows)), p)
+    assert np.array_equal(a.index_matrix, padded)
+    assert np.array_equal(b.index_matrix, padded)
+    assert np.array_equal(a.order, b.order)
+    assert len(a.colors) == len(b.colors)
+    assert all(np.array_equal(x, y) for x, y in zip(a.colors, b.colors))
+
+
+def test_listed_index_p_is_not_padding():
+    with pytest.raises(ValueError, match="outside"):
+        GroupStructure([[0, 1, 2]], [1.0], 2)
+    with pytest.raises(ValueError, match="increasing"):
+        GroupStructure(np.array([[0, 2], [2, 1]]), [1.0, 1.0], 2)

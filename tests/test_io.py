@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modet.io import (
     MetricsSink,
@@ -71,12 +74,15 @@ class TestPgmWrite:
         out = write_frame_pgm(np.array([-0.3, 1.7]), 1, 2)
         assert list(out[-2:]) == [0, 255]
 
-    def test_write_read_write_idempotent(self):
-        rng = np.random.default_rng(0)
-        v = rng.uniform(-0.2, 1.2, 24)
-        first = write_frame_pgm(v, 4, 6)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_write_read_write_idempotent(self, H, W, data):
+        v = data.draw(arrays(np.float64, H * W,
+                             elements=st.floats(-0.5, 1.5)))
+        first = write_frame_pgm(v, H, W)
         decoded = read_frame_pgm(first)
-        second = write_frame_pgm(decoded.pixels, 4, 6)
+        assert (decoded.height, decoded.width) == (H, W)
+        second = write_frame_pgm(decoded.pixels, H, W)
         assert first == second
 
 
@@ -190,9 +196,9 @@ class TestMetricsSink:
             pass
         lines = path.read_text().splitlines()
         assert lines == [
-            "frame_index,iters,final_delta,fg_energy,basis_delta,recall5,"
-            "precision5,f1_5,recall_acc,precision_acc,f1_acc,prox_sweeps,"
-            "prox_capped,wall_ms"
+            "frame_index,iters,final_delta,fg_energy,basis_delta,g_cost,"
+            "recall5,precision5,f1_5,recall_acc,precision_acc,f1_acc,"
+            "prox_sweeps,prox_capped,wall_ms"
         ]
 
     def test_rows_and_missing_fields(self, tmp_path):

@@ -119,21 +119,6 @@ def test_run_sequence_downsampling_counts():
     assert [r["frame_index"] for r in records] == [0, 3, 6, 9]
 
 
-def test_run_sequence_phase_offset():
-    rng = np.random.default_rng(12)
-    rows = rng.uniform(0, 1, size=(10, 16))
-    records = []
-    run_sequence(
-        frame_stream(rows, 4, 4),
-        params=HyperParams(lambda1=0.25, lambda2=2.5, rank=2),
-        downsample=4,
-        phase=1,
-        sinks=(records.append,),
-        seed=0,
-    )
-    assert [r["frame_index"] for r in records] == [1, 5, 9]
-
-
 def test_run_sequence_checkpoint_and_evaluator(tmp_path):
     rng = np.random.default_rng(10)
     rows = rng.uniform(0, 1, size=(5, 16))

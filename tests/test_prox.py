@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import modet
 import modet.prox
@@ -19,7 +20,6 @@ from modet.pipeline import run_sequence
 from modet.prox import (
     _CFLAGS,
     _SOURCE,
-    DualState,
     _load_kernel,
     _project_l1_rows,
     oracle_prox,
@@ -88,7 +88,7 @@ def plain_bcd(u, g, lam2, tol, init=None, max_iters=100_000):
     Returns the foreground and the sweeps run.
     """
     radii = lam2 * g.weights
-    xi = np.zeros(g.index_matrix.shape) if init is None else init.xi.copy()
+    xi = np.zeros(g.index_matrix.shape) if init is None else init.copy()
     res = np.zeros(g.p + 1)
     np.subtract.at(res, g.index_matrix.ravel(), xi.ravel())
     res[:g.p] += u
@@ -150,6 +150,19 @@ class TestProjectL1Ball:
                 cand = cand / max(1.0, np.abs(cand).sum() / r)
                 assert d_best <= np.sum((v - cand) ** 2) + 1e-12
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(-10.0, 10.0)), st.floats(0.0, 20.0))
+    def test_feasible_idempotent_and_moreau(self, v, radius):
+        x = project_l1_ball(v, radius)
+        assert np.abs(x).sum() <= radius * (1.0 + 1e-12)
+        assert np.abs(project_l1_ball(x, radius) - x).max() <= 1e-13 * radius
+        if radius > 0.0:
+            # u = prox(u) + projection(u) for the one-group norm
+            g = GroupStructure([np.arange(v.size)], [1.0], v.size)
+            s = structured_prox(v, g, radius)
+            assert np.abs(s + x - v).max() <= 1e-12 * max(1.0, radius)
+
     def test_rows_variant_matches_1d(self):
         rng = np.random.default_rng(1)
         V = rng.normal(size=(12, 5))
@@ -182,6 +195,19 @@ class TestStructuredProx:
             s = structured_prox(u, g, 0.3, tol=1e-11, max_iters=5000)
             ref = oracle_prox(u, g, 0.3)
             assert np.abs(s - ref).max() < 1e-5
+
+    def test_row_on_its_sequential_l1_sum_is_inside_the_ball(self):
+        # the backends sum a row's |entries| in order, never pairwise: at a
+        # radius equal to that sum the row is inside the ball, s = 0
+        rng = np.random.default_rng(14)
+        for p in (9, 300):
+            g = GroupStructure([np.arange(p)], [1.0], p)
+            a = np.zeros(p)
+            while a.sum() <= sum(a.tolist()):
+                u = rng.normal(size=p)
+                a = np.abs(u)
+            s = structured_prox(u, g, sum(a.tolist()))
+            assert not s.any()
 
     def test_moreau_identity_single_group(self):
         g = GroupStructure([list(range(7))], [1.0], 7)
@@ -220,13 +246,12 @@ class TestStructuredProx:
         g = two_group_structure()
         rng = np.random.default_rng(7)
         u = rng.uniform(-1, 1, 9)
-        s, state, _, _ = structured_prox_dual(u, g, 0.4)
+        s, xi, _, _ = structured_prox_dual(u, g, 0.4)
         scatter = np.zeros(10)
-        np.add.at(scatter, g.index_matrix.ravel(), state.xi.ravel())
+        np.add.at(scatter, g.index_matrix.ravel(), xi.ravel())
         assert np.abs(s - (u - scatter[:9])).max() < 1e-12
-        assert np.abs(state.residual - (u - scatter[:9])).max() < 1e-12
         # dual feasibility
-        assert (np.abs(state.xi).sum(axis=1) <= 0.4 + 1e-12).all()
+        assert (np.abs(xi).sum(axis=1) <= 0.4 + 1e-12).all()
 
     def test_shrinkage_monotone_in_lambda2(self):
         g = build_grid_groups(4, 4)
@@ -247,8 +272,8 @@ class TestStructuredProx:
         u = rng.uniform(-1, 1, 25)
         objs = []
         for k in range(1, 13):
-            _, state, _, _ = structured_prox_dual(u, g, 0.2, tol=0.0, max_iters=k)
-            objs.append(0.5 * np.sum(state.residual**2))
+            s, _, _, _ = structured_prox_dual(u, g, 0.2, tol=0.0, max_iters=k)
+            objs.append(0.5 * np.sum(s**2))  # s = u - sum_g xi_g
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
     def test_warm_start_reaches_same_answer(self):
@@ -256,9 +281,9 @@ class TestStructuredProx:
         rng = np.random.default_rng(11)
         u1 = rng.uniform(-1, 1, 9)
         u2 = u1 + 0.05 * rng.normal(size=9)
-        _, state, _, _ = structured_prox_dual(u1, g, 0.3, tol=1e-11, max_iters=5000)
+        _, xi, _, _ = structured_prox_dual(u1, g, 0.3, tol=1e-11, max_iters=5000)
         warm, _, _, _ = structured_prox_dual(
-            u2, g, 0.3, tol=1e-11, max_iters=5000, init=state
+            u2, g, 0.3, tol=1e-11, max_iters=5000, init=xi
         )
         cold, _, _, _ = structured_prox_dual(u2, g, 0.3, tol=1e-11, max_iters=5000)
         assert np.abs(warm - cold).max() < 1e-8
@@ -289,9 +314,7 @@ class TestStructuredProx:
         with pytest.raises(ValueError):
             structured_prox(np.zeros(9), g, 0.0)
         with pytest.raises(ValueError):
-            structured_prox_dual(
-                np.zeros(9), g, 0.3, init=DualState(np.zeros((3, 4)), np.zeros(9))
-            )
+            structured_prox_dual(np.zeros(9), g, 0.3, init=np.zeros((3, 4)))
 
 
 @pytest.mark.usefixtures("numpy_backend")
@@ -324,9 +347,8 @@ def random_structure(rng, p):
 
 
 def prox_bytes(*args, **kw):
-    s, state, sweeps, change = structured_prox_dual(*args, **kw)
-    return (s.tobytes(), state.xi.tobytes(), state.residual.tobytes(),
-            sweeps, change)
+    s, xi, sweeps, change = structured_prox_dual(*args, **kw)
+    return s.tobytes(), xi.tobytes(), sweeps, change
 
 
 @needs_c
@@ -346,9 +368,9 @@ class TestBackends:
             g = random_structure(rng, p)  # steps of numpy's pairwise sum
             cases.append((g, rng.normal(size=p), float(rng.uniform(0.05, 1))))
         for p in (9, 300):
-            # radius = the smaller of the pairwise and the sequential l1
-            # sum: the group is inside the ball in one order, outside in
-            # the other
+            # radius = the smaller of numpy's pairwise and the sequential
+            # l1 sum: the group is inside the ball in one order, outside in
+            # the other, and both backends must take the sequential one
             a = np.zeros(p)
             while a.sum() == sum(a.tolist()):
                 u = rng.normal(size=p)
@@ -445,9 +467,9 @@ for case, (g, u, lam, sweeps) in enumerate(cases):
     for kernel in (fn, None):
         prox._sweep_c = kernel
         for init in (None, warm):
-            s, st, n, change = prox.structured_prox_dual(
+            s, xi, n, change = prox.structured_prox_dual(
                 u, g, lam, tol=0.0, max_iters=sweeps, init=init)
-            out.append((s.tobytes(), st.xi.tobytes(), n, change))
+            out.append((s.tobytes(), xi.tobytes(), n, change))
     if out[:2] != out[2:]:
         sys.exit(f"case {case}: the kernel and numpy differ")
 print(f"{len(cases)} cases bit-identical")

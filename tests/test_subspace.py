@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modet.groups import build_grid_groups, omega_norm
 from modet.model import Frame, HyperParams, SeparationResult, SubspaceModel
@@ -260,24 +263,29 @@ class TestCosts:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(17)
-        m = fresh_model(12, 3, rng)
-        m.accA = rng.normal(size=(3, 3))
-        m.accB = rng.normal(size=(12, 3))
-        m.frames_seen = 41
+    # the files are rewritten on every example, so one tmp_path serves all
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+           st.integers(0, 2**64 - 1), st.floats(1e-6, 1e3),
+           st.floats(1e-6, 1e3), st.data())
+    def test_round_trip_bit_exact(self, tmp_path, H, W, rank, seen, lam1,
+                                  lam2, data):
+        def draw(shape):  # any float64 bits: NaN, infinities, -0.0
+            return data.draw(arrays(np.float64, shape))
+
+        m = SubspaceModel(basis=draw((H * W, rank)), accA=draw((rank, rank)),
+                          accB=draw((H * W, rank)), frames_seen=seen)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, m, 3, 4, 0.015625, 0.15625)
-        again, H, W, lam1, lam2 = load_checkpoint(path)
-        assert (H, W) == (3, 4)
-        assert lam1 == 0.015625 and lam2 == 0.15625
-        assert again.frames_seen == 41
-        assert np.array_equal(again.basis, m.basis)
-        assert np.array_equal(again.accA, m.accA)
-        assert np.array_equal(again.accB, m.accB)
+        save_checkpoint(path, m, H, W, lam1, lam2)
+        again, h, w, l1, l2 = load_checkpoint(path)
+        assert (h, w, l1, l2, again.frames_seen) == (H, W, lam1, lam2, seen)
+        for a, b in ((again.basis, m.basis), (again.accA, m.accA),
+                     (again.accB, m.accB)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
         # and the serialized bytes themselves are reproducible
         path2 = tmp_path / "model2.ckpt"
-        save_checkpoint(path2, m, 3, 4, 0.015625, 0.15625)
+        save_checkpoint(path2, again, h, w, l1, l2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_rejects_corrupt_files(self, tmp_path):
