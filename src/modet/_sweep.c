@@ -3,7 +3,8 @@
  * Visits the groups in the given color-major order and repeats, operation
  * for operation, the floating-point arithmetic of prox._colored_sweeps:
  * a sequential row l1 sum, a descending sort (insertion sort: groups are
- * small windows), a sequential cumsum and rho = #{u_k * k > css_k - rad}.
+ * small windows), a sequential cumsum and rho = #{u_k * k > css_k - rad},
+ * at least 1.
  * Built with -ffp-contract=off so no multiply-add is fused; the results
  * are then bit-identical to numpy's.
  *
@@ -120,8 +121,8 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     cs[j] = j ? cs[j - 1] + u[j] : u[j];
                     rho += u[j] * (double)(j + 1) > cs[j] - rad;
                 }
-                /* numpy indexes css[rho - 1], which wraps to the end at 0 */
-                theta = (cs[rho ? rho - 1 : width - 1] - rad) / (double)rho;
+                if (rho == 0) rho = 1;
+                theta = (cs[rho - 1] - rad) / (double)rho;
             }
             int saved = 0;
             for (int64_t j = 0; j < width; j++) {

@@ -25,7 +25,7 @@ class FrameOutput:
     """Per-frame record emitted by the online loop.
 
     ``g_cost`` (surrogate cost at the updated basis) and ``basis_delta``
-    (Frobenius change of the basis) are filled only in diagnostics mode.
+    (Frobenius change of the basis) are filled only when a tracker is given.
     """
 
     index: int
@@ -88,28 +88,26 @@ def process_frame(
     d: Frame,
     g: GroupStructure,
     params: HyperParams,
-    diagnostics: bool = False,
     tracker: SurrogateTracker | None = None,
 ):
     """One step of the online loop; returns (model, FrameOutput).
 
     Separates the frame against the current basis, folds the result into the
     accumulators, then runs the configured number of basis sweeps. The model
-    is updated in place and returned.
+    is updated in place and returned. With a ``tracker``, the frame is folded
+    into it too, and the output carries ``basis_delta`` and ``g_cost``.
     """
     t0 = time.perf_counter()
     res = separate(d, model.basis, g, params)
     update_accumulators(model, d, res)
     if tracker is not None:
         tracker.add(d, res, g, params)
-    prev_basis = model.basis.copy() if diagnostics else None
+        prev_basis = model.basis.copy()
     update_basis(model, params.lambda1, passes=params.basis_passes)
-    basis_delta = None
-    g_cost = None
-    if diagnostics:
+    basis_delta = g_cost = None
+    if tracker is not None:
         basis_delta = float(np.linalg.norm(model.basis - prev_basis))
-        if tracker is not None:
-            g_cost = tracker.value(model, params)
+        g_cost = tracker.value(model, params)
     out = FrameOutput(
         index=d.index,
         separation=res,
@@ -156,10 +154,7 @@ def run_sequence(
                 params = default_hyperparams(height * width)
             groups = build_grid_groups(height, width)
             model = init_subspace(height * width, params, seed)
-        model, out = process_frame(
-            model, frame, groups, params, diagnostics=diagnostics,
-            tracker=tracker,
-        )
+        model, out = process_frame(model, frame, groups, params, tracker)
         processed += 1
         wall_total += out.wall_time
         record = {

@@ -123,7 +123,13 @@ BACKEND = "c" if _sweep_c is not None else "numpy"
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Exact Euclidean projection of v onto the l1 ball of the given radius.
 
-    Sort-based threshold search; O(n log n), no iteration.
+    Sort-based threshold search; O(n log n), no iteration. With u the sorted
+    magnitudes, the rho largest entries are kept, rho being the number of k
+    with sum_{j<=k} (u_j - u_k) < radius; each becomes its height above u_rho
+    plus an equal share of what is left of the radius. Those sums are built
+    from the gaps between neighbours, not from a threshold near the entries,
+    so the result is accurate relative to the radius even when the radius
+    is far below the entries.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -134,11 +140,11 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     if a.sum() <= radius:
         return v.copy()
     u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = int(np.count_nonzero(u * ks > css - radius))
-    theta = (css[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    excess = np.cumsum(np.arange(u.size) * -np.diff(u, prepend=u[0]))
+    rho = int(np.count_nonzero(excess < radius))  # >= 1: excess[0] = 0
+    floor = u[rho - 1]
+    share = (radius - excess[rho - 1]) / rho
+    return np.sign(v) * np.where(a >= floor, a - floor + share, 0.0)
 
 
 def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
@@ -162,7 +168,7 @@ def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
     css = np.cumsum(U, axis=1)
     ks = np.arange(1, V.shape[1] + 1)
     rad = radius[outside]
-    rho = (U * ks > css - rad[:, None]).sum(axis=1)
+    rho = np.maximum((U * ks > css - rad[:, None]).sum(axis=1), 1)
     theta = (css[np.arange(Ao.shape[0]), rho - 1] - rad) / rho
     out[outside] = np.sign(V[outside]) * np.maximum(Ao - theta[:, None], 0.0)
     return out

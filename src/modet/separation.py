@@ -8,7 +8,6 @@ coefficients fixed, until the scaled change of both blocks drops below tau.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
@@ -24,8 +23,7 @@ def ridge_solve(
 ) -> np.ndarray:
     """Minimize 0.5*||d - L r - s||^2 + 0.5*lambda1*||r||^2 over r.
 
-    Solves the normal equations (L^T L + lambda1 I) r = L^T (d - s) through a
-    Cholesky factorization of the r x r system.
+    Solves the r x r normal equations (L^T L + lambda1 I) r = L^T (d - s).
     """
     d = np.asarray(d, dtype=np.float64).ravel()
     s = np.asarray(s, dtype=np.float64).ravel()
@@ -38,7 +36,7 @@ def ridge_solve(
             and np.all(np.isfinite(L))):
         raise ValueError("inputs contain non-finite values")
     gram = L.T @ L + lambda1 * np.eye(L.shape[1])
-    return cho_solve(cho_factor(gram, lower=True), L.T @ (d - s))
+    return np.linalg.solve(gram, L.T @ (d - s))
 
 
 def frame_cost(
@@ -93,7 +91,6 @@ def separate(
         raise ValueError("inputs contain non-finite values")
 
     gram = L.T @ L + params.lambda1 * np.eye(L.shape[1])
-    factor = cho_factor(gram, lower=True)
 
     r = np.zeros(L.shape[1])
     s = np.zeros(p)
@@ -104,7 +101,7 @@ def separate(
     iters = 0
     sweeps_total = capped = 0
     for iters in range(1, params.max_sep_iters + 1):
-        r_new = cho_solve(factor, L.T @ (pix - s))
+        r_new = np.linalg.solve(gram, L.T @ (pix - s))
         u = pix - L @ r_new
         # cost at (r_new, s): the prox step must not raise it
         bound = frame_cost(u - s, r_new, penalty, params)

@@ -9,11 +9,11 @@ solve accB @ (accA + lambda1 I)^-1 serves as the reference answer.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .groups import GroupStructure
 from .model import Frame, HyperParams, SeparationResult, SubspaceModel
@@ -76,11 +76,11 @@ def update_basis(
 
 
 def closed_form_basis(model: SubspaceModel, lambda1: float) -> np.ndarray:
-    """Exact surrogate minimizer accB @ (accA + lambda1 I)^-1 via SPD solve."""
+    """Exact surrogate minimizer accB @ (accA + lambda1 I)^-1."""
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
     At = model.accA + lambda1 * np.eye(model.rank)
-    return cho_solve(cho_factor(At, lower=True), model.accB.T).T
+    return np.linalg.solve(At, model.accB.T).T
 
 
 def basis_quadratic(model: SubspaceModel, lambda1: float, L=None) -> float:
@@ -158,7 +158,9 @@ def save_checkpoint(
 
     Layout: 8-byte magic, u32 version, u32 height/width/rank, u64
     frames_seen, f64 lambda1/lambda2, then the basis, accA and accB as
-    row-major little-endian float64.
+    row-major little-endian float64. The bytes go to a temporary file next
+    to ``path`` that then replaces it, so a failed write leaves the previous
+    checkpoint as it was.
     """
     if height * width != model.p:
         raise ValueError("height*width does not match the model")
@@ -172,11 +174,17 @@ def save_checkpoint(
         lambda1,
         lambda2,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(model.basis, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.accA, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.accB, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for a in (model.basis, model.accA, model.accB):
+                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):

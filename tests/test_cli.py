@@ -1,5 +1,9 @@
 import functools
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,28 @@ def test_diagnostics_write_the_surrogate_cost(small_sequence, tmp_path):
             assert all(np.isfinite(float(row[col])) for row in rows)
         else:
             assert all(row[col] == "" for row in rows)
+
+
+def test_run_never_imports_scipy(small_sequence, tmp_path):
+    # a fresh interpreter: this one may have scipy loaded by other tests
+    src = str(Path(modet.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["run", "--input", str(small_sequence), "--out",
+            str(tmp_path / "out"), "--rank", "4", "--downsample", "10",
+            "--gt", str(small_sequence / "gt.csv"), "--seg", "fixed:0.1",
+            "--diagnostics", "--dump-frames"]
+    script = (
+        "import sys\n"
+        "from modet.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "model.ckpt").is_file()
 
 
 def test_run_dump_frames(small_sequence, tmp_path):

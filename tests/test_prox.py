@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -153,6 +153,10 @@ class TestProjectL1Ball:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrays(np.float64, st.integers(1, 40),
                   elements=st.floats(-10.0, 10.0)), st.floats(0.0, 20.0))
+    # radii far below the entries: 2 - (2 - 1e-9) is not 1e-9, and 1e-17
+    # is below the rounding of 1.0
+    @example(np.array([2.0]), 1e-9)
+    @example(np.array([1.0, 0.5]), 1e-17)
     def test_feasible_idempotent_and_moreau(self, v, radius):
         x = project_l1_ball(v, radius)
         assert np.abs(x).sum() <= radius * (1.0 + 1e-12)
@@ -377,6 +381,10 @@ class TestBackends:
                 a = np.abs(u)
             cases.append((GroupStructure([np.arange(p)], [1.0], p), u,
                           min(a.sum(), sum(a.tolist()))))
+        # a radius below the rounding of the largest entry: no entry counts
+        # towards rho, and both backends clamp it to 1
+        cases.append((GroupStructure([np.arange(3)], [1.0], 3),
+                       np.array([1.0, -0.5, 0.0]), 1e-17))
         # signed zeros: -0.0 inputs, and small negative entries that the
         # projection shrinks to -0.0
         g = build_grid_groups(6, 6)

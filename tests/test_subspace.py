@@ -302,6 +302,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="expected"):
             load_checkpoint(bad)
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(20)
+        m = fresh_model(6, 2, rng)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m, 2, 3, 0.1, 1.0)
+        before = path.read_bytes()
+        bad = fresh_model(6, 2, rng)
+        bad.accB = np.full((6, 2), "x", dtype=object)  # fails after the basis
+        with pytest.raises(ValueError):
+            save_checkpoint(path, bad, 2, 3, 0.1, 1.0)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_dimension_guard(self, tmp_path):
         rng = np.random.default_rng(19)
         m = fresh_model(6, 2, rng)
