@@ -1,5 +1,8 @@
 /* Dual block-coordinate sweeps of the structured prox (see prox.py).
  *
+ * The groups are the rows of a dense index matrix of pixels in [0, p):
+ * all have one width, res has p entries, and no entry is padding.
+ *
  * Visits the groups in the given color-major order and repeats, operation
  * for operation, the floating-point arithmetic of prox._colored_sweeps:
  * a sequential row l1 sum, a descending sort (insertion sort: groups are
@@ -55,38 +58,34 @@ static double put(double *x, double nw, double *res, int64_t i, int64_t g,
 /* Sweeps until the largest dual change of a sweep is <= tol or max_sweeps
  * ran; returns the sweeps run and stores the last sweep's change, or
  * returns -1 when the scratch cannot be allocated. idx and xi are
- * (n_order, width) row-major and order lists every group once; padded
- * entries of idx point at res[pad], which must read 0. wait and ratio_tol
- * are the Aitken step's constants.
+ * (n_order, width) row-major and order lists every group once. wait and
+ * ratio_tol are the Aitken step's constants.
  * The groups of one color are disjoint, so visiting them one at a time
  * gives what numpy's batched step over the color gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
-                    int64_t n_order, double *xi, double *res, int64_t pad,
+                    int64_t n_order, double *xi, double *res, int64_t p,
                     const double *radii, int64_t max_sweeps, double tol,
                     int64_t wait, double ratio_tol, double *change_out)
 {
     int64_t n = n_order * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
      * the pixel -> group CSR (the groups on pixel i are grp[ptr[i] ..
-     * ptr[i + 1]], and pixel pad has none); the changed groups; and one
-     * dirty flag per group */
+     * ptr[i + 1]]); the changed groups; and one dirty flag per group */
     double *work = malloc((size_t)(4 * width + n) * sizeof(double)
-                          + (size_t)(pad + 2 + n + n_order) * sizeof(int64_t)
+                          + (size_t)(p + 2 + n + n_order) * sizeof(int64_t)
                           + (size_t)n_order);
     if (!work) return -1;
     double *v = work, *a = work + width, *u = work + 2 * width;
     double *cs = work + 3 * width, *prev = work + 4 * width;
-    int64_t *ptr = (int64_t *)(prev + n), *grp = ptr + pad + 2;
+    int64_t *ptr = (int64_t *)(prev + n), *grp = ptr + p + 2;
     int64_t *changed = grp + n;
     int8_t *dirty = (int8_t *)(changed + n_order);
     /* CSR: count pixel i at ptr[i + 2], prefix-sum, then fill through
      * ptr[i + 1], which leaves ptr[i] at pixel i's start */
-    memset(ptr, 0, (size_t)(pad + 2) * sizeof *ptr);
-    for (int64_t e = 0; e < n; e++)
-        if (idx[e] != pad) ptr[idx[e] + 2]++;
-    for (int64_t i = 2; i < pad + 2; i++) ptr[i] += ptr[i - 1];
-    for (int64_t e = 0; e < n; e++)
-        if (idx[e] != pad) grp[ptr[idx[e] + 1]++] = e / width;
+    memset(ptr, 0, (size_t)(p + 2) * sizeof *ptr);
+    for (int64_t e = 0; e < n; e++) ptr[idx[e] + 2]++;
+    for (int64_t i = 2; i < p + 2; i++) ptr[i] += ptr[i - 1];
+    for (int64_t e = 0; e < n; e++) grp[ptr[idx[e] + 1]++] = e / width;
     memset(dirty, 1, (size_t)n_order);
 
     /* Aitken state: the previous change and ratio, the sweeps since the
@@ -98,8 +97,8 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
         sweeps++;
         change = 0.0;
         n_changed = 0;
-        for (int64_t o = 0; o < n_order; o++) {
-            int64_t g = order[o];
+        for (const int64_t *o = order; o < order + n_order; o++) {
+            int64_t g = *o;
             if (!dirty[g]) continue;
             dirty[g] = 0;
             const int64_t *ix = idx + g * width;
@@ -143,7 +142,6 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                 double d = put(x + j, nw, res, ix[j], g, ptr, grp, dirty);
                 if (d > change) change = d;
             }
-            res[pad] = 0.0;
         }
         if (change <= tol) break;
         since++;
@@ -155,12 +153,11 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             for (int64_t l = 0; l < n_changed; l++) {
                 int64_t g = changed[l];
                 double *x = xi + g * width;
-                const double *p = prev + g * width;
+                const double *x0 = prev + g * width;
                 for (int64_t j = 0; j < width; j++)
-                    put(x + j, x[j] + c * (x[j] - p[j]), res, idx[g * width + j],
+                    put(x + j, x[j] + c * (x[j] - x0[j]), res, idx[g * width + j],
                         g, ptr, grp, dirty);
             }
-            res[pad] = 0.0;
             since = 0;
             at_step = change;
         }

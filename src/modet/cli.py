@@ -7,12 +7,16 @@ import itertools
 import logging
 import math
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from . import prox
 from .detection import (
+    BOXES_HEADER,
+    MatchResult,
+    box_rows,
     connected_components,
     match_detections,
     metrics_window,
@@ -54,11 +58,22 @@ def _parse_seg(text: str):
             f"segmentation must be fixed:THETA or quantile:Q, got {text!r}"
         )
     try:
-        return mode, float(value)
+        value = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad segmentation parameter in {text!r}"
         ) from None
+    if mode == "quantile" and not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"quantile must lie in (0, 1), got {text!r}")
+    return mode, value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def _frame_list(frames, shown=20) -> str:
@@ -94,8 +109,8 @@ def cmd_run(args) -> int:
     ]
 
     gt = read_boxes_csv(args.gt) if args.gt else None
-    history = []
-    detections = {}
+    total = MatchResult(tp=0, fp=0, fn=0)  # the run's summed match counts
+    recent = deque(maxlen=5)  # the last 5 frames' matches
     capped = {}  # frame index -> prox calls that hit the sweep cap
 
     def evaluate(frame, sep):
@@ -104,7 +119,7 @@ def cmd_run(args) -> int:
         mask = threshold_mask(sep.foreground, mode=seg_mode, value=seg_value)
         boxes = connected_components(mask, height, width,
                                      min_area=args.min_area)
-        detections[frame.index] = boxes
+        dets.write(box_rows(frame.index, boxes))
         if args.dump_frames:
             (out / f"bg_{frame.index:06d}.pgm").write_bytes(
                 write_frame_pgm(sep.background, height, width)
@@ -114,18 +129,22 @@ def cmd_run(args) -> int:
             )
         if gt is None:
             return {}
-        history.append(
-            match_detections(boxes, gt.get(frame.index, []),
+        m = match_detections(boxes, gt.get(frame.index, []),
                              thresh=args.iou_thresh)
-        )
-        r5, p5, f5 = metrics_window(history, mode="last_k", k=5)
-        ra, pa, fa = metrics_window(history, mode="accumulated")
+        recent.append(m)
+        total.tp, total.fp, total.fn = (total.tp + m.tp, total.fp + m.fp,
+                                        total.fn + m.fn)
+        r5, p5, f5 = metrics_window(recent)
+        ra, pa, fa = metrics_window([total])
         return {
             "recall5": r5, "precision5": p5, "f1_5": f5,
             "recall_acc": ra, "precision_acc": pa, "f1_acc": fa,
         }
 
-    with MetricsSink(out / "metrics.csv", comments=comments) as sink:
+    with MetricsSink(out / "metrics.csv", comments=comments) as sink, \
+            open(out / "detections.csv", "w", encoding="ascii",
+                 newline="\n") as dets:
+        dets.write(BOXES_HEADER + "\n")
         summary = run_sequence(
             source,
             params=params,
@@ -136,7 +155,6 @@ def cmd_run(args) -> int:
             evaluator=evaluate,
             checkpoint_path=ckpt,
         )
-    write_boxes_csv(out / "detections.csv", detections)
     if capped:
         log.warning("%d prox calls stopped at the %d-sweep cap, in %d "
                     "frames: %s", sum(capped.values()), params.max_prox_iters,
@@ -203,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="structured-sparsity weight (default 10*lambda1)")
     run.add_argument("--tau", type=float, default=1e-5,
                      help="separation stop tolerance")
-    run.add_argument("--downsample", type=int, default=1, metavar="T",
+    run.add_argument("--downsample", type=_positive_int, default=1,
+                     metavar="T",
                      help="process one frame in every T")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--diagnostics", action="store_true",

@@ -165,6 +165,9 @@ def metrics_window(history, mode: str = "accumulated", k: int = 5):
     return recall, precision, f1
 
 
+BOXES_HEADER = "frame_index,x,y,w,h"
+
+
 def read_boxes_csv(path):
     """Parse a groundtruth/detections CSV into {frame_index: [Box, ...]}.
 
@@ -174,8 +177,8 @@ def read_boxes_csv(path):
     by_frame: dict[int, list[Box]] = {}
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "frame_index,x,y,w,h":
-        raise ValueError(f"{path}: line 1: expected header 'frame_index,x,y,w,h'")
+    if not lines or lines[0].strip() != BOXES_HEADER:
+        raise ValueError(f"{path}: line 1: expected header '{BOXES_HEADER}'")
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -196,10 +199,14 @@ def read_boxes_csv(path):
     return by_frame
 
 
+def box_rows(fi: int, boxes) -> str:
+    """One frame's boxes as lines of the groundtruth CSV format."""
+    return "".join(f"{fi},{b.x},{b.y},{b.w},{b.h}\n" for b in boxes)
+
+
 def write_boxes_csv(path, by_frame) -> None:
     """Write {frame_index: [Box, ...]} in the groundtruth CSV format."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("frame_index,x,y,w,h\n")
+        fh.write(BOXES_HEADER + "\n")
         for fi in sorted(by_frame):
-            for b in by_frame[fi]:
-                fh.write(f"{fi},{b.x},{b.y},{b.w},{b.h}\n")
+            fh.write(box_rows(fi, by_frame[fi]))

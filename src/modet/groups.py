@@ -12,56 +12,45 @@ class GroupStructure:
     Groups must jointly cover every pixel index in [0, p) so the norm is
     positive definite.
 
-    ``groups`` is a list of index sequences, or a 2-D integer array with one
-    group per row, padded at the end with p. Either way the groups are
-    stored as that padded ``index_matrix`` (the pad points at a scratch slot
-    that always reads 0) and partitioned into color classes of
-    pairwise-disjoint groups, which lets block-coordinate sweeps over the
-    dual run one color at a time. ``color_of``, one label per group, gives
-    a known proper coloring (the builder of a regular grid has one in
-    closed form); without it a greedy coloring is computed. ``colors``
-    holds each class's groups in index order, and ``order`` lists the
-    groups color-major, the classes in sequence.
+    ``groups`` is a list of equal-length index sequences or a 2-D integer
+    array, one group per row; every group has the same size k. It is stored
+    as one dense ``(n_groups, k)`` ``index_matrix`` and partitioned into
+    color classes of pairwise-disjoint groups, which lets block-coordinate
+    sweeps over the dual run one color at a time. ``color_of``, one label
+    per group, gives a known proper coloring (the builder of a regular grid
+    has one in closed form); without it a greedy coloring is computed.
+    ``colors`` holds each class's groups in index order, and ``order``
+    lists the groups color-major, the classes in sequence.
     """
 
     def __init__(self, groups, weights, p: int, color_of=None):
         if p <= 0:
             raise ValueError("p must be positive")
         self.p = int(p)
-        if isinstance(groups, np.ndarray) and groups.ndim == 2:
+        try:
             matrix = np.ascontiguousarray(groups, dtype=np.int64)
-        else:
-            groups = [np.asarray(g, dtype=np.int64) for g in groups]
-            sizes = np.array([g.size for g in groups], dtype=np.int64)
-            matrix = np.full((sizes.size, sizes.max(initial=0)), self.p,
-                             dtype=np.int64)
-            flat = np.concatenate(groups) if groups else np.empty(0, np.int64)
-            # a listed index p would read as padding: fail the range check
-            matrix[np.arange(matrix.shape[1]) < sizes[:, None]] = np.where(
-                flat == self.p, -1, flat)
+        except ValueError:  # ragged rows
+            matrix = None
+        if matrix is not None and matrix.size == 0:
+            raise ValueError("at least one nonempty group is required")
+        if matrix is None or matrix.ndim != 2:
+            raise ValueError("every group must have the same size")
         self.weights = np.asarray(weights, dtype=np.float64)
         self.n_groups = matrix.shape[0]
-        if self.n_groups == 0:
-            raise ValueError("at least one group is required")
         if self.weights.shape != (self.n_groups,):
             raise ValueError("one weight per group is required")
         if np.any(self.weights <= 0):
             raise ValueError("group weights must be positive")
 
-        pad = matrix == self.p
-        bad = pad.all(axis=1)
-        if bad.any():
-            raise ValueError(f"group {int(np.argmax(bad))} is empty")
-        bad = ((matrix < 0) | (matrix > self.p)).any(axis=1)
+        bad = ((matrix < 0) | (matrix >= self.p)).any(axis=1)
         if bad.any():
             raise ValueError(f"group {int(np.argmax(bad))} has indices "
                              f"outside [0, {self.p})")
-        # strictly increasing, then padding to the end of the row
-        bad = ((np.diff(matrix, axis=1) <= 0) & ~pad[:, 1:]).any(axis=1)
+        bad = (np.diff(matrix, axis=1) <= 0).any(axis=1)
         if bad.any():
             raise ValueError(f"group {int(np.argmax(bad))} indices must be "
                              "strictly increasing")
-        covered = np.bincount(matrix.ravel(), minlength=self.p + 1)[: self.p] > 0
+        covered = np.bincount(matrix.ravel(), minlength=self.p) > 0
         if not covered.all():
             missing = int(np.argmin(covered))
             raise ValueError(f"pixel {missing} is not covered by any group")
@@ -75,10 +64,8 @@ class GroupStructure:
                 raise ValueError("one color label per group is required")
             _, color_of = np.unique(color_of, return_inverse=True)
             # proper: no pixel is covered twice by groups of one color
-            slots = (color_of[:, None] * (self.p + 1) + matrix).ravel()
-            counts = np.bincount(slots, minlength=(color_of.max() + 1)
-                                 * (self.p + 1)).reshape(-1, self.p + 1)
-            if (counts[:, : self.p] > 1).any():
+            slots = (color_of[:, None] * self.p + matrix).ravel()
+            if (np.bincount(slots) > 1).any():
                 raise ValueError("groups of one color must be disjoint")
         self.order = np.argsort(color_of, kind="stable").astype(np.int64)
         self.colors = np.split(self.order,
@@ -93,13 +80,12 @@ class GroupStructure:
         pixel_owner = [[] for _ in range(self.p)]
         color_of = np.full(self.n_groups, -1, dtype=np.int64)
         for i, row in enumerate(self.index_matrix.tolist()):
-            pixels = [px for px in row if px != self.p]
-            taken = {color_of[j] for px in pixels for j in pixel_owner[px]}
+            taken = {color_of[j] for px in row for j in pixel_owner[px]}
             c = 0
             while c in taken:
                 c += 1
             color_of[i] = c
-            for px in pixels:
+            for px in row:
                 pixel_owner[px].append(i)
         return color_of
 
@@ -128,5 +114,4 @@ def omega_norm(s: np.ndarray, g: GroupStructure) -> float:
     s = np.asarray(s, dtype=np.float64).ravel()
     if s.size != g.p:
         raise ValueError(f"vector length {s.size} != group domain {g.p}")
-    padded = np.append(np.abs(s), 0.0)
-    return float(padded[g.index_matrix].max(axis=1) @ g.weights)
+    return float(np.abs(s)[g.index_matrix].max(axis=1) @ g.weights)

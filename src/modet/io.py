@@ -128,7 +128,7 @@ def iter_sequence(path):
         names = sorted(f.name for f in path.glob("*.pgm"))
     elif path.is_file():
         base = path.parent
-        names = [ln for ln in path.read_text(encoding="ascii").splitlines()
+        names = [ln for ln in path.read_text(encoding="utf-8").splitlines()
                  if ln.strip()]
     else:
         raise FileNotFoundError(f"no sequence at {path}")
@@ -273,7 +273,7 @@ class MetricsSink:
     """
 
     def __init__(self, path, comments=()):
-        self._fh = open(path, "w", encoding="ascii", newline="\n")
+        self._fh = open(path, "w", encoding="utf-8", newline="\n")
         for line in comments:
             self._fh.write(f"# {line}\n")
         self._fh.write(",".join(METRICS_COLUMNS) + "\n")

@@ -58,8 +58,8 @@ _AITKEN_RATIO_TOL = 0.02
 
 
 def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
-    """The compiled sweep function, or None, with a warning, when it cannot
-    be built or loaded.
+    """The compiled sweep function, or None, with a warning, when its source
+    cannot be read or it cannot be built or loaded.
 
     The library is cached as ``sweep-<sha256>.so`` in ``cache_dir``
     (default ``${XDG_CACHE_HOME:-~/.cache}/modet``); the hash covers the
@@ -68,8 +68,13 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
     When the directory is not writable, the kernel is compiled into a
     temporary directory for this process only.
     """
-    digest = hashlib.sha256(source.read_bytes()
-                            + " ".join(_CFLAGS).encode()).hexdigest()
+    try:
+        code = source.read_bytes()
+    except OSError as exc:
+        log.warning("cannot read the sweep kernel source (%s); using the "
+                    "numpy sweeps", exc)
+        return None
+    digest = hashlib.sha256(code + " ".join(_CFLAGS).encode()).hexdigest()
     if cache_dir is None:
         cache_dir = Path(os.environ.get("XDG_CACHE_HOME")
                          or os.path.expanduser("~/.cache")) / "modet"
@@ -148,11 +153,7 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
-    """Row-wise l1-ball projection; ``radius`` is a scalar or per-row array.
-
-    Rows padded with zeros project to zeros in the padded slots, so padded
-    group storage passes through unchanged.
-    """
+    """Row-wise l1-ball projection; ``radius`` is a scalar or per-row array."""
     radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (V.shape[0],))
     out = V.copy()
     zero_rad = radius == 0.0
@@ -175,9 +176,8 @@ def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
 
 
 def _scatter_sum(xi: np.ndarray, g: GroupStructure) -> np.ndarray:
-    return np.bincount(
-        g.index_matrix.ravel(), weights=xi.ravel(), minlength=g.p + 1
-    )[: g.p]
+    return np.bincount(g.index_matrix.ravel(), weights=xi.ravel(),
+                       minlength=g.p)
 
 
 def structured_prox_dual(
@@ -195,8 +195,8 @@ def structured_prox_dual(
     visits every group once, color-major; iteration stops when the largest
     single dual entry change in a sweep drops to ``tol`` or after
     ``max_iters`` sweeps. ``xi`` is the dual state, one row per group
-    aligned with ``g.index_matrix`` and zero in its padded slots; passing a
-    returned ``xi`` as ``init`` warm-starts the dual variables.
+    aligned with ``g.index_matrix``; passing a returned ``xi`` as ``init``
+    warm-starts the dual variables.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size != g.p:
@@ -214,11 +214,7 @@ def structured_prox_dual(
     else:
         xi = np.zeros(g.index_matrix.shape)
 
-    # Work buffer with one scratch slot at index p for the pad reads/writes.
-    res = np.empty(g.p + 1)
-    res[: g.p] = u - _scatter_sum(xi, g)
-    res[g.p] = 0.0
-
+    res = u - _scatter_sum(xi, g)
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
     sweeps, change = sweep(g, xi, res, radii, tol, int(max_iters))
 
@@ -227,7 +223,7 @@ def structured_prox_dual(
 
 
 def _c_sweeps(g, xi, res, radii, tol, max_iters):
-    idx = g.index_matrix  # int64, C-contiguous, entries in [0, p]
+    idx = g.index_matrix  # int64, C-contiguous, entries in [0, p)
     change = ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
                       g.order.size, xi.ctypes.data, res.ctypes.data, g.p,
@@ -242,7 +238,6 @@ def _colored_sweeps(g, xi, res, radii, tol, max_iters):
     steps = [(cls, g.index_matrix[cls], radii[cls]) for cls in g.colors]
     change = np.inf
     sweeps = 0
-    p = g.p
     # Aitken state, as in _sweep.c: the previous change and ratio, the
     # sweeps since the last step, the change at that step (None before it)
     last, ratio, since, at_step, steps_on = np.inf, 0.0, 0, None, True
@@ -254,7 +249,6 @@ def _colored_sweeps(g, xi, res, radii, tol, max_iters):
             delta = new - xi[cls]
             change = max(change, float(np.abs(delta).max(initial=0.0)))
             res[idx] -= delta
-            res[p] = 0.0
             xi[cls] = new
         if change <= tol:
             break
@@ -271,7 +265,6 @@ def _colored_sweeps(g, xi, res, radii, tol, max_iters):
             x = xi[rows]
             new = x + r / (1.0 - r) * (x - prev[rows])
             np.subtract.at(res, g.index_matrix[rows].ravel(), (new - x).ravel())
-            res[p] = 0.0
             xi[rows] = new
             since, at_step = 0, change
         last, ratio = change, r
@@ -313,16 +306,14 @@ def oracle_prox(
 
     radii = lambda2 * g.weights
     idx = g.index_matrix
-    coverage = np.bincount(idx.ravel(), minlength=g.p + 1)[: g.p]
+    coverage = np.bincount(idx.ravel(), minlength=g.p)
     base_step = 1.0 / float(coverage.max())
 
-    u_pad = np.append(u, 0.0)
-    xi = _project_l1_rows(u_pad[idx], radii)
+    xi = _project_l1_rows(u[idx], radii)
     for it in range(max_iters):
         residual = u - _scatter_sum(xi, g)
-        res_pad = np.append(residual, 0.0)
         step = base_step / (1.0 + it / 500.0)
-        new = _project_l1_rows(xi + step * res_pad[idx], radii)
+        new = _project_l1_rows(xi + step * residual[idx], radii)
         change = float(np.abs(new - xi).max())
         xi = new
         if change <= tol:

@@ -1,6 +1,7 @@
 import functools
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,14 @@ import pytest
 
 import modet.cli
 from modet.cli import _frame_list, main
-from modet.detection import Box, write_boxes_csv
+from modet.detection import (
+    Box,
+    connected_components,
+    match_detections,
+    metrics_window,
+    read_boxes_csv,
+    write_boxes_csv,
+)
 from modet.model import HyperParams
 
 
@@ -169,6 +177,84 @@ def test_run_never_imports_scipy(small_sequence, tmp_path):
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "model.ckpt").is_file()
+
+
+def test_run_streams_what_whole_history_scoring_gives(small_sequence,
+                                                     tmp_path, monkeypatch):
+    # every frame's boxes, as the run found them
+    found = []
+    monkeypatch.setattr(modet.cli, "connected_components", lambda *a, **kw:
+                        found.append(connected_components(*a, **kw))
+                        or found[-1])
+    out = tmp_path / "out"
+    rc = main(["run", "--input", str(small_sequence), "--out", str(out),
+               "--rank", "4", "--downsample", "2", "--seg", "fixed:0.1",
+               "--gt", str(small_sequence / "gt.csv")])
+    assert rc == 0
+    header, rows = read_rows(out / "metrics.csv")
+    indices = [int(row[0]) for row in rows]
+    assert len(rows) == len(found) == 15
+    write_boxes_csv(tmp_path / "expect.csv", dict(zip(indices, found)))
+    assert ((out / "detections.csv").read_bytes()
+            == (tmp_path / "expect.csv").read_bytes())
+    gt = read_boxes_csv(small_sequence / "gt.csv")
+    cols = [header.index(c) for c in ("recall5", "precision5", "f1_5",
+                                      "recall_acc", "precision_acc", "f1_acc")]
+    history = []
+    for row, i, boxes in zip(rows, indices, found):
+        history.append(match_detections(boxes, gt.get(i, []), thresh=0.3))
+        want = (metrics_window(history, mode="last_k", k=5)
+                + metrics_window(history, mode="accumulated"))
+        assert [row[c] for c in cols] == [repr(v) for v in want]
+    assert any(float(row[cols[-1]]) > 0 for row in rows)
+
+
+def test_failed_run_keeps_the_finished_frames_detections(small_sequence,
+                                                         tmp_path,
+                                                         monkeypatch):
+    found = []
+
+    def fail_on_frame_3(*a, **kw):
+        if len(found) == 3:
+            raise ValueError("frame 3 fails")
+        found.append(connected_components(*a, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(modet.cli, "connected_components", fail_on_frame_3)
+    out = tmp_path / "out"
+    rc = main(["run", "--input", str(small_sequence), "--out", str(out),
+               "--rank", "4", "--seg", "fixed:0.1"])
+    assert rc == 1
+    write_boxes_csv(tmp_path / "expect.csv", dict(enumerate(found)))
+    assert ((out / "detections.csv").read_bytes()
+            == (tmp_path / "expect.csv").read_bytes())
+
+
+def test_run_reads_and_echoes_non_ascii_paths(small_sequence, tmp_path):
+    seq = tmp_path / "seq\u00e9"
+    seq.mkdir()
+    names = [f"\u00e9{i}.pgm" for i in range(3)]
+    for name, src in zip(names, sorted(small_sequence.glob("*.pgm"))):
+        shutil.copy(src, seq / name)
+    (seq / "manifest.txt").write_text("".join(n + "\n" for n in names),
+                                      encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["run", "--input", str(seq), "--out", str(out), "--rank", "2"])
+    assert rc == 0
+    text = (out / "metrics.csv").read_text(encoding="utf-8")
+    assert text.startswith(f"# input={seq}\n")
+    assert len(text.splitlines()) == 5 + 1 + 3  # comments, header, frames
+
+
+@pytest.mark.parametrize("flag", [["--seg", "quantile:1.5"],
+                                  ["--seg", "quantile:0"],
+                                  ["--downsample", "0"]])
+def test_run_bad_value_is_usage_error(small_sequence, tmp_path, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--input", str(small_sequence), "--out", str(out), *flag])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_run_dump_frames(small_sequence, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import add_covering_windows
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
 
 
@@ -49,7 +50,7 @@ def test_grid_window_too_large():
 
 def test_group_structure_validation():
     with pytest.raises(ValueError):
-        GroupStructure([[0, 1], []], [1.0, 1.0], 4)  # empty group
+        GroupStructure([[], []], [1.0, 1.0], 4)  # empty groups
     with pytest.raises(ValueError):
         GroupStructure([[0, 4]], [1.0], 4)  # out of range
     with pytest.raises(ValueError):
@@ -141,29 +142,23 @@ def test_given_coloring_must_be_proper():
     assert [c.tolist() for c in g.colors] == [[1], [0, 2]]
 
 
+def test_groups_of_unequal_size_are_rejected():
+    for groups in ([[0, 1], [2]], [[0, 1, 2], [1, 2]], [0, 1, 2]):
+        with pytest.raises(ValueError, match="same size"):
+            GroupStructure(groups, [1.0] * len(groups), 3)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(1, 12).flatmap(lambda p: st.tuples(
-    st.just(p), st.lists(st.sets(st.integers(0, p - 1), min_size=1),
-                         min_size=1, max_size=8))))
-def test_list_and_padded_array_store_the_same_layout(case):
-    p, groups = case
-    uncovered = set(range(p)).difference(*groups)
-    if uncovered:
-        groups.append(uncovered)
-    rows = [sorted(grp) for grp in groups]
-    width = max(map(len, rows))
-    padded = np.array([row + [p] * (width - len(row)) for row in rows])
+    st.just(p), st.integers(1, p), st.lists(st.permutations(range(p)),
+                                            min_size=1, max_size=8))))
+def test_list_and_array_store_the_same_layout(case):
+    p, k, perms = case
+    rows = add_covering_windows([sorted(perm[:k]) for perm in perms], p, k)
     a = GroupStructure(rows, np.ones(len(rows)), p)
-    b = GroupStructure(padded, np.ones(len(rows)), p)
-    assert np.array_equal(a.index_matrix, padded)
-    assert np.array_equal(b.index_matrix, padded)
+    b = GroupStructure(np.array(rows), np.ones(len(rows)), p)
+    assert np.array_equal(a.index_matrix, rows)
+    assert np.array_equal(b.index_matrix, rows)
     assert np.array_equal(a.order, b.order)
     assert len(a.colors) == len(b.colors)
     assert all(np.array_equal(x, y) for x, y in zip(a.colors, b.colors))
-
-
-def test_listed_index_p_is_not_padding():
-    with pytest.raises(ValueError, match="outside"):
-        GroupStructure([[0, 1, 2]], [1.0], 2)
-    with pytest.raises(ValueError, match="increasing"):
-        GroupStructure(np.array([[0, 2], [2, 1]]), [1.0, 1.0], 2)

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import modet
 import modet.prox
+from conftest import add_covering_windows
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
 from modet.io import SynthSpec, synth_sequence
 from modet.pipeline import run_sequence
@@ -68,17 +69,17 @@ def simplex_grid_oracle_3d(v, radius, rounds=4, n=201):
 
 @st.composite
 def small_structures(draw):
-    """A random desk-scale structure (p <= 16, <= 8 groups), u and lambda2."""
+    """A random desk-scale structure (p <= 16, <= 8 groups of k pixels), u
+    and lambda2."""
     p = draw(st.integers(1, 16))
-    groups = draw(st.lists(st.sets(st.integers(0, p - 1), min_size=1),
-                           min_size=1, max_size=7))
-    uncovered = set(range(p)).difference(*groups)
-    if uncovered:
-        groups.append(uncovered)
+    k = draw(st.integers(-(-p // 7), p))  # at most 7 covering windows
+    perms = draw(st.lists(st.permutations(range(p)), min_size=1,
+                          max_size=8 - -(-p // k)))
+    groups = add_covering_windows([sorted(pm[:k]) for pm in perms], p, k)
     weights = draw(st.lists(st.floats(0.5, 2.0), min_size=len(groups),
                             max_size=len(groups)))
     u = draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
-    g = GroupStructure([sorted(grp) for grp in groups], weights, p)
+    g = GroupStructure(groups, weights, p)
     return g, np.array(u), draw(st.floats(0.05, 1.0))
 
 
@@ -89,10 +90,9 @@ def plain_bcd(u, g, lam2, tol, init=None, max_iters=100_000):
     """
     radii = lam2 * g.weights
     xi = np.zeros(g.index_matrix.shape) if init is None else init.copy()
-    res = np.zeros(g.p + 1)
+    res = np.zeros(g.p)
     np.subtract.at(res, g.index_matrix.ravel(), xi.ravel())
-    res[:g.p] += u
-    res[g.p] = 0.0
+    res += u
     for sweeps in range(1, max_iters + 1):
         change = 0.0
         for cls in g.colors:
@@ -101,10 +101,9 @@ def plain_bcd(u, g, lam2, tol, init=None, max_iters=100_000):
             delta = new - xi[cls]
             change = max(change, float(np.abs(delta).max(initial=0.0)))
             res[idx] -= delta
-            res[g.p] = 0.0
             xi[cls] = new
         if change <= tol:
-            return res[:g.p].copy(), sweeps
+            return res, sweeps
     raise AssertionError("the reference sweeps did not converge")
 
 
@@ -170,7 +169,7 @@ class TestProjectL1Ball:
     def test_rows_variant_matches_1d(self):
         rng = np.random.default_rng(1)
         V = rng.normal(size=(12, 5))
-        V[3, 3:] = 0.0  # rows with padding-style zeros
+        V[3, 3:] = 0.0  # a row with trailing zeros
         radii = rng.uniform(0.05, 2.0, size=12)
         radii[5] = 0.0
         out = _project_l1_rows(V, radii)
@@ -341,13 +340,12 @@ def test_prox_matches_oracle_on_random_structures(case):
         modet.prox._sweep_c = kernel
 
 
-def random_structure(rng, p):
-    """One group over every pixel plus random groups of 1..min(p, 200)."""
-    groups = [np.arange(p)]
-    for _ in range(int(rng.integers(1, 30))):
-        m = int(rng.integers(1, min(p, 200) + 1))
-        groups.append(np.sort(rng.choice(p, m, replace=False)))
-    return GroupStructure(groups, rng.uniform(0.5, 2.0, len(groups)), p)
+def random_structure(rng, p, k):
+    """Random groups of k pixels, plus k-wide windows over what they miss."""
+    rows = [sorted(rng.choice(p, k, replace=False).tolist())
+            for _ in range(int(rng.integers(1, 30)))]
+    rows = add_covering_windows(rows, p, k)
+    return GroupStructure(rows, rng.uniform(0.5, 2.0, len(rows)), p)
 
 
 def prox_bytes(*args, **kw):
@@ -368,8 +366,9 @@ class TestBackends:
         rng = np.random.default_rng(10)
         cases = [(build_grid_groups(64, 64),
                   rng.normal(0, 0.3, 4096) * (rng.random(4096) < 0.1), 0.16)]
-        for p in (5, 9, 40, 300):  # rows both sides of the 8- and 128-wide
-            g = random_structure(rng, p)  # steps of numpy's pairwise sum
+        # rows both sides of the 8- and 128-wide steps of numpy's pairwise sum
+        for p, k in ((5, 3), (9, 9), (40, 12), (300, 150)):
+            g = random_structure(rng, p, k)
             cases.append((g, rng.normal(size=p), float(rng.uniform(0.05, 1))))
         for p in (9, 300):
             # radius = the smaller of numpy's pairwise and the sequential
@@ -444,13 +443,14 @@ class TestBackends:
 
 
 # Runs a kernel library given on the command line against the numpy sweeps
-# on random structures with padded rows, cold and warm-started, where the
-# extrapolation step fires, and on two sparse grids where its safeguard
+# on random structures of one group size each, cold and warm-started, where
+# the extrapolation step fires, and on two sparse grids where its safeguard
 # turns it off.
 ASAN_SCRIPT = """
 import ctypes, sys
 import numpy as np
 import modet.prox as prox
+from conftest import add_covering_windows
 from modet.groups import GroupStructure, build_grid_groups
 
 fn = ctypes.CDLL(sys.argv[1]).dual_sweeps
@@ -459,10 +459,11 @@ rng = np.random.default_rng(0)
 cases = []
 for case in range(50):
     p = int(rng.integers(1, 300))
-    groups = [np.arange(p)] + [
-        np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))
-        for _ in range(int(rng.integers(1, 20)))]
-    g = GroupStructure(groups, rng.uniform(0.5, 2.0, len(groups)), p)
+    k = int(rng.integers(1, p + 1))
+    rows = add_covering_windows(
+        [sorted(rng.choice(p, k, replace=False).tolist())
+         for _ in range(int(rng.integers(1, 20)))], p, k)
+    g = GroupStructure(rows, rng.uniform(0.5, 2.0, len(rows)), p)
     cases.append((g, rng.normal(size=p) * (rng.random(p) < 0.7),
                   float(rng.uniform(0.05, 1.0)), 40))
 for n, seed in ((12, 16), (16, 13)):
@@ -501,8 +502,9 @@ class TestKernelBuild:
                         str(_SOURCE), "-lm"], check=True, capture_output=True)
         src = str(Path(modet.__file__).resolve().parent.parent)
         env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       src, str(Path(__file__).parent),
+                       os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", ASAN_SCRIPT, str(lib)],
                              env=env, capture_output=True, text=True,
                              timeout=600)
@@ -515,6 +517,14 @@ class TestKernelBuild:
         assert fn is None
         assert "numpy sweeps" in caplog.text
         assert not list(tmp_path.iterdir())  # no partial library left
+
+    def test_missing_source_falls_back(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="modet.prox"):
+            fn = _load_kernel(tmp_path / "missing.c", cache_dir=tmp_path / "c")
+        assert fn is None
+        assert "cannot read the sweep kernel source" in caplog.text
+        assert "numpy sweeps" in caplog.text
+        assert not (tmp_path / "c").exists()
 
     def test_compile_error_logs_compiler_stderr(self, tmp_path, caplog):
         bad = tmp_path / "_sweep.c"
