@@ -25,7 +25,19 @@
  * step. wait sweeps after a step, a change above the change at the step
  * disables the steps for the rest of the call. A call stops only after a
  * plain sweep, so it never returns an extrapolated state.
- * prox._colored_sweeps repeats all of this operation for operation.
+ *
+ * A bounded call (bound not NaN) also stops after a plain sweep whose
+ * residual res, the primal candidate, has P(res) <= bound and a duality
+ * gap G <= eta * (bound - P), where
+ *   P = 0.5 * sum_i (u_i - res_i)^2 + sum_g radii[g] * max_{i in g} |res_i|,
+ *   G = P - (0.5 * sum_i u_i^2 - 0.5 * sum_i res_i^2).
+ * The second term of G is the dual objective at xi, which is feasible, so
+ * G >= P(res) - P* >= 0: the candidate is below the bound, and its excess
+ * over the optimum P* is at most eta times its margin below the bound.
+ * Each group's max is cached and recomputed only when put() has flagged it
+ * stale since the last test.
+ * prox._colored_sweeps repeats all of this operation for operation, the
+ * sums of the test included (sequential, in index order).
  */
 #include <math.h>
 #include <stdint.h>
@@ -37,56 +49,99 @@ static int same_bits(double a, double b)
     return memcmp(&a, &b, sizeof a) == 0;
 }
 
-/* Writes nw into *x and moves res[i] by the difference; flags group g and,
- * when res[i] changes bits, every group on pixel i. Returns |nw - *x|. When
- * nw has *x's bits nothing is written: the difference is +0.0, and
- * res -= +0.0 changes no bit. */
+/* Writes nw into *x and moves res[i] by the difference; flags group g dirty
+ * and, when res[i] changes bits, every group on pixel i dirty and stale.
+ * Returns |nw - *x|. When nw has *x's bits nothing is written: the
+ * difference is +0.0, and res -= +0.0 changes no bit. */
 static double put(double *x, double nw, double *res, int64_t i, int64_t g,
-                  const int64_t *ptr, const int64_t *grp, int8_t *dirty)
+                  const int64_t *ptr, const int64_t *grp, int8_t *dirty,
+                  int8_t *stale)
 {
     if (same_bits(nw, *x)) return 0.0;
     dirty[g] = 1;
     double d = nw - *x, r = res[i] - d;
     if (!same_bits(r, res[i])) {
         res[i] = r;
-        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++) dirty[grp[k]] = 1;
+        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++)
+            dirty[grp[k]] = stale[grp[k]] = 1;
     }
     *x = nw;
     return fabs(d);
 }
 
-/* Sweeps until the largest dual change of a sweep is <= tol or max_sweeps
- * ran; returns the sweeps run and stores the last sweep's change, or
- * returns -1 when the scratch cannot be allocated. idx and xi are
- * (n_order, width) row-major and order lists every group once. wait and
- * ratio_tol are the Aitken step's constants.
+/* The stop test of a bounded call at the current residual (see the top of
+ * this file); uu is sum_i u_i^2. Recomputes the cached max gmax[g] of each
+ * group flagged stale and clears its flag. */
+static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
+                    const double *res, const double *u, int64_t p,
+                    const double *radii, double uu, double bound, double eta,
+                    double *gmax, int8_t *stale)
+{
+    double dd = 0.0, rr = 0.0, om = 0.0;
+    for (int64_t i = 0; i < p; i++) {
+        double d = u[i] - res[i];
+        dd += d * d;
+        rr += res[i] * res[i];
+    }
+    for (int64_t g = 0; g < n_groups; g++) {
+        if (stale[g]) {
+            const int64_t *ix = idx + g * width;
+            double m = 0.0;
+            for (int64_t j = 0; j < width; j++) {
+                double a = fabs(res[ix[j]]);
+                m = a > m ? a : m;
+            }
+            gmax[g] = m;
+            stale[g] = 0;
+        }
+        om += radii[g] * gmax[g];
+    }
+    double P = 0.5 * dd + om;
+    double G = P - (0.5 * uu - 0.5 * rr);
+    return P <= bound && G <= eta * (bound - P);
+}
+
+/* Sweeps until the largest dual change of a sweep is <= tol, a bounded
+ * call's gap test holds or max_sweeps ran; returns the sweeps run and
+ * stores the last sweep's change, or returns -1 when the scratch cannot be
+ * allocated. idx and xi are (n_order, width) row-major, order lists every
+ * group once, and u is the prox input (read only by the gap test). A NaN
+ * bound skips the gap test. wait and ratio_tol are the Aitken step's
+ * constants.
  * The groups of one color are disjoint, so visiting them one at a time
  * gives what numpy's batched step over the color gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
-                    int64_t n_order, double *xi, double *res, int64_t p,
-                    const double *radii, int64_t max_sweeps, double tol,
-                    int64_t wait, double ratio_tol, double *change_out)
+                    int64_t n_order, double *xi, double *res, const double *u,
+                    int64_t p, const double *radii, int64_t max_sweeps,
+                    double tol, double bound, double eta, int64_t wait,
+                    double ratio_tol, double *change_out)
 {
     int64_t n = n_order * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
-     * the pixel -> group CSR (the groups on pixel i are grp[ptr[i] ..
-     * ptr[i + 1]]); the changed groups; and one dirty flag per group */
-    double *work = malloc((size_t)(4 * width + n) * sizeof(double)
+     * each group's cached max for the gap test; the pixel -> group CSR
+     * (the groups on pixel i are grp[ptr[i] .. ptr[i + 1]]); the changed
+     * groups; and per group a dirty flag and a stale-max flag */
+    double *work = malloc((size_t)(4 * width + n + n_order) * sizeof(double)
                           + (size_t)(p + 2 + n + n_order) * sizeof(int64_t)
-                          + (size_t)n_order);
+                          + (size_t)(2 * n_order));
     if (!work) return -1;
-    double *v = work, *a = work + width, *u = work + 2 * width;
+    double *v = work, *a = work + width, *srt = work + 2 * width;
     double *cs = work + 3 * width, *prev = work + 4 * width;
-    int64_t *ptr = (int64_t *)(prev + n), *grp = ptr + p + 2;
+    double *gmax = prev + n;
+    int64_t *ptr = (int64_t *)(gmax + n_order), *grp = ptr + p + 2;
     int64_t *changed = grp + n;
-    int8_t *dirty = (int8_t *)(changed + n_order);
+    int8_t *dirty = (int8_t *)(changed + n_order), *stale = dirty + n_order;
     /* CSR: count pixel i at ptr[i + 2], prefix-sum, then fill through
      * ptr[i + 1], which leaves ptr[i] at pixel i's start */
     memset(ptr, 0, (size_t)(p + 2) * sizeof *ptr);
     for (int64_t e = 0; e < n; e++) ptr[idx[e] + 2]++;
     for (int64_t i = 2; i < p + 2; i++) ptr[i] += ptr[i - 1];
     for (int64_t e = 0; e < n; e++) grp[ptr[idx[e] + 1]++] = e / width;
-    memset(dirty, 1, (size_t)n_order);
+    memset(dirty, 1, (size_t)(2 * n_order)); /* and stale */
+    int bounded = !isnan(bound);
+    double uu = 0.0;
+    if (bounded)
+        for (int64_t i = 0; i < p; i++) uu += u[i] * u[i];
 
     /* Aitken state: the previous change and ratio, the sweeps since the
      * last step, the change at that step (-1 before the first) */
@@ -112,13 +167,14 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             if (outside) {
                 for (int64_t j = 0; j < width; j++) { /* insertion sort */
                     int64_t k = j;
-                    for (; k > 0 && u[k - 1] < a[j]; k--) u[k] = u[k - 1];
-                    u[k] = a[j];
+                    for (; k > 0 && srt[k - 1] < a[j]; k--)
+                        srt[k] = srt[k - 1];
+                    srt[k] = a[j];
                 }
                 int64_t rho = 0;
                 for (int64_t j = 0; j < width; j++) {
-                    cs[j] = j ? cs[j - 1] + u[j] : u[j];
-                    rho += u[j] * (double)(j + 1) > cs[j] - rad;
+                    cs[j] = j ? cs[j - 1] + srt[j] : srt[j];
+                    rho += srt[j] * (double)(j + 1) > cs[j] - rad;
                 }
                 if (rho == 0) rho = 1;
                 theta = (cs[rho - 1] - rad) / (double)rho;
@@ -139,11 +195,15 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     changed[n_changed++] = g;
                     saved = 1;
                 }
-                double d = put(x + j, nw, res, ix[j], g, ptr, grp, dirty);
+                double d = put(x + j, nw, res, ix[j], g, ptr, grp, dirty,
+                               stale);
                 if (d > change) change = d;
             }
         }
         if (change <= tol) break;
+        if (bounded && gap_stop(idx, width, n_order, res, u, p, radii, uu,
+                                bound, eta, gmax, stale))
+            break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
         if (since == wait && at_step >= 0.0 && change > at_step) steps_on = 0;
@@ -155,8 +215,8 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                 double *x = xi + g * width;
                 const double *x0 = prev + g * width;
                 for (int64_t j = 0; j < width; j++)
-                    put(x + j, x[j] + c * (x[j] - x0[j]), res, idx[g * width + j],
-                        g, ptr, grp, dirty);
+                    put(x + j, x[j] + c * (x[j] - x0[j]), res,
+                        idx[g * width + j], g, ptr, grp, dirty, stale);
             }
             since = 0;
             at_step = change;

@@ -66,6 +66,9 @@ def _parse_seg(text: str):
     if mode == "quantile" and not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(
             f"quantile must lie in (0, 1), got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"threshold must be finite, got {text!r}")
     return mode, value
 
 
@@ -73,6 +76,22 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _iou_thresh(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"IoU threshold must lie in (0, 1], got {text!r}")
     return value
 
 
@@ -112,10 +131,13 @@ def cmd_run(args) -> int:
     total = MatchResult(tp=0, fp=0, fn=0)  # the run's summed match counts
     recent = deque(maxlen=5)  # the last 5 frames' matches
     capped = {}  # frame index -> prox calls that hit the sweep cap
+    exhausted = []  # frames whose separation ran out of iterations
 
     def evaluate(frame, sep):
         if sep.prox_capped:
             capped[frame.index] = sep.prox_capped
+        if sep.final_delta > params.tau:
+            exhausted.append(frame.index)
         mask = threshold_mask(sep.foreground, mode=seg_mode, value=seg_value)
         boxes = connected_components(mask, height, width,
                                      min_area=args.min_area)
@@ -159,6 +181,10 @@ def cmd_run(args) -> int:
         log.warning("%d prox calls stopped at the %d-sweep cap, in %d "
                     "frames: %s", sum(capped.values()), params.max_prox_iters,
                     len(capped), _frame_list(list(capped)))
+    if exhausted:
+        log.warning("%d frames stopped at the %d-iteration separation cap "
+                    "with their change above tau: %s", len(exhausted),
+                    params.max_sep_iters, _frame_list(exhausted))
     print(
         f"processed {summary.frames_processed} frames "
         f"({summary.mean_wall_ms:.1f} ms/frame), "
@@ -214,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True,
                      help="sequence directory or manifest file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--rank", type=int, default=25)
-    run.add_argument("--lambda1", type=float, default=None,
+    run.add_argument("--rank", type=_positive_int, default=25)
+    run.add_argument("--lambda1", type=_positive_float, default=None,
                      help="low-rank weight (default 1/sqrt(pixels))")
-    run.add_argument("--lambda2", type=float, default=None,
+    run.add_argument("--lambda2", type=_positive_float, default=None,
                      help="structured-sparsity weight (default 10*lambda1)")
-    run.add_argument("--tau", type=float, default=1e-5,
+    run.add_argument("--tau", type=_positive_float, default=1e-5,
                      help="separation stop tolerance")
     run.add_argument("--downsample", type=_positive_int, default=1,
                      metavar="T",
@@ -230,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint", default=None,
                      help="model checkpoint path (default OUT/model.ckpt)")
     run.add_argument("--gt", default=None, help="groundtruth boxes CSV")
-    run.add_argument("--iou-thresh", type=float, default=0.3)
+    run.add_argument("--iou-thresh", type=_iou_thresh, default=0.3)
     run.add_argument("--seg", type=_parse_seg, default=("quantile", 0.995),
                      help="fixed:THETA or quantile:Q (default quantile:0.995)")
     run.add_argument("--min-area", type=int, default=2,
@@ -254,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score detections against groundtruth")
     ev.add_argument("--dets", required=True, help="detections CSV")
     ev.add_argument("--gt", required=True, help="groundtruth CSV")
-    ev.add_argument("--iou-thresh", type=float, default=0.3)
+    ev.add_argument("--iou-thresh", type=_iou_thresh, default=0.3)
     ev.add_argument("--window", type=int, default=5)
     ev.set_defaults(func=cmd_eval)
     return parser

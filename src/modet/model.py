@@ -120,7 +120,7 @@ class SeparationResult:
     coefficients. ``objective_trace`` holds the joint objective value after
     each alternation, ``final_delta`` the last stop-criterion value
     (> tau only when the iteration budget ran out). ``prox_sweeps`` sums the
-    dual sweeps of every prox call, descent retries included;
+    dual sweeps of the frame's prox calls, one call per iteration;
     ``prox_capped`` counts the calls that ran out of sweeps with the dual
     change still above their tolerance.
     """

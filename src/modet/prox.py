@@ -30,6 +30,24 @@ x + r / (1 - r) * (x - x_before), and the residual follows. If the change
 ``_AITKEN_WAIT`` sweeps after a step exceeds the change at the step, the
 steps stop for the rest of the call. Only a plain sweep can meet the stop
 test, so a call never returns an extrapolated state.
+
+A call given a ``bound`` on the primal value also stops after a plain sweep
+whose residual res (the primal candidate s) satisfies P(res) <= bound and
+G <= ``ETA`` * (bound - P(res)), with
+
+    P(s) = 0.5 * ||u - s||^2 + lambda2 * Omega(s),
+    G    = P(res) - D(xi),   D(xi) = 0.5 * ||u||^2 - 0.5 * ||res||^2.
+
+D is the dual objective, and xi is dual feasible after every sweep, so
+D(xi) <= P* and P(res) - P* <= G: the candidate lies below the bound, and
+its excess over the optimum is at most ``ETA`` times its margin below the
+bound. The caller's
+bound is the primal value of its previous iterate, so the call certifies
+descent and its accuracy follows the decrease the step makes; when that
+decrease vanishes, only the ``tol`` test can stop the call. Both backends
+add every sum of the test sequentially in index order, so they stay
+bit-identical; the kernel recomputes a group's max only when a residual
+entry on its pixels has changed since the last test.
 """
 
 from __future__ import annotations
@@ -55,6 +73,8 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # The Aitken step of the sweeps; both backends read these.
 _AITKEN_WAIT = 5
 _AITKEN_RATIO_TOL = 0.02
+# The duality-gap stop of a bounded call: the gap's share of the decrease.
+ETA = 0.01
 
 
 def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
@@ -114,8 +134,8 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, i64, ptr, i64, f64, i64, f64,
-                   ptr]
+    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, f64, f64,
+                   f64, i64, f64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -187,6 +207,7 @@ def structured_prox_dual(
     tol: float = 1e-8,
     max_iters: int = 200,
     init: np.ndarray | None = None,
+    bound: float | None = None,
 ):
     """Solve the structured prox; return (s, xi, sweeps, last_change).
 
@@ -194,9 +215,11 @@ def structured_prox_dual(
     step an exact l1-ball projection of the current group residual. A sweep
     visits every group once, color-major; iteration stops when the largest
     single dual entry change in a sweep drops to ``tol`` or after
-    ``max_iters`` sweeps. ``xi`` is the dual state, one row per group
-    aligned with ``g.index_matrix``; passing a returned ``xi`` as ``init``
-    warm-starts the dual variables.
+    ``max_iters`` sweeps. With a ``bound`` it also stops once the primal
+    value is at most ``bound`` and the duality gap at most ``ETA`` times the
+    margin (see the module docstring). ``xi`` is the dual state, one row per
+    group aligned with ``g.index_matrix``; passing a returned ``xi`` as
+    ``init`` warm-starts the dual variables.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size != g.p:
@@ -205,6 +228,8 @@ def structured_prox_dual(
         raise ValueError("input contains non-finite values")
     if lambda2 <= 0:
         raise ValueError("lambda2 must be positive")
+    if bound is not None and not np.isfinite(bound):
+        raise ValueError("bound must be finite")
 
     radii = lambda2 * g.weights
     if init is not None:
@@ -216,28 +241,39 @@ def structured_prox_dual(
 
     res = u - _scatter_sum(xi, g)
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
-    sweeps, change = sweep(g, xi, res, radii, tol, int(max_iters))
+    sweeps, change = sweep(g, xi, res, u, radii, tol, int(max_iters), bound)
 
     s = u - _scatter_sum(xi, g)
     return s, xi, int(sweeps), float(change)
 
 
-def _c_sweeps(g, xi, res, radii, tol, max_iters):
+def _c_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p)
     change = ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
-                      g.order.size, xi.ctypes.data, res.ctypes.data, g.p,
-                      radii.ctypes.data, max_iters, tol, _AITKEN_WAIT,
+                      g.order.size, xi.ctypes.data, res.ctypes.data,
+                      u.ctypes.data, g.p, radii.ctypes.data, max_iters, tol,
+                      np.nan if bound is None else bound, ETA, _AITKEN_WAIT,
                       _AITKEN_RATIO_TOL, ctypes.byref(change))
     if sweeps < 0:
         raise MemoryError("the sweep kernel could not allocate its scratch")
     return sweeps, change.value
 
 
-def _colored_sweeps(g, xi, res, radii, tol, max_iters):
+def _gap_stop(g, res, u, uu, radii, bound):
+    """The stop test of a bounded call, as _sweep.c's gap_stop adds it."""
+    d = u - res
+    gmax = np.abs(res[g.index_matrix]).max(axis=1)
+    P = 0.5 * np.cumsum(d * d)[-1] + np.cumsum(radii * gmax)[-1]
+    G = P - (0.5 * uu - 0.5 * np.cumsum(res * res)[-1])
+    return P <= bound and G <= ETA * (bound - P)
+
+
+def _colored_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
     steps = [(cls, g.index_matrix[cls], radii[cls]) for cls in g.colors]
     change = np.inf
     sweeps = 0
+    uu = None if bound is None else np.cumsum(u * u)[-1]
     # Aitken state, as in _sweep.c: the previous change and ratio, the
     # sweeps since the last step, the change at that step (None before it)
     last, ratio, since, at_step, steps_on = np.inf, 0.0, 0, None, True
@@ -251,6 +287,8 @@ def _colored_sweeps(g, xi, res, radii, tol, max_iters):
             res[idx] -= delta
             xi[cls] = new
         if change <= tol:
+            break
+        if bound is not None and _gap_stop(g, res, u, uu, radii, bound):
             break
         since += 1
         r = change / last if last > 0.0 else np.inf

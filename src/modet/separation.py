@@ -13,10 +13,6 @@ from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
 from .prox import structured_prox_dual
 
-# Prox calls that resume a step that raised the cost, at 1/100 of the
-# previous tolerance.
-_DESCENT_RETRIES = 1
-
 
 def ridge_solve(
     d: np.ndarray, s: np.ndarray, L: np.ndarray, lambda1: float
@@ -71,12 +67,12 @@ def separate(
     """Split one frame into background L@r and structured-sparse foreground s.
 
     Starts cold at r = 0, s = 0 and alternates the exact ridge step with the
-    structured prox. The ridge step is exact, so a prox step that raises the
-    cost at (r_new, s_prev) stopped short; it is resumed once from its dual
-    state at 1/100 of the tolerance, and then kept whatever its cost. Stops
-    when max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration
-    budget runs out; a final_delta above tau flags the latter for the
-    caller.
+    structured prox. Each prox call gets as its bound the prox objective of
+    the previous foreground at the new coefficients, so it stops once it
+    has certified a descent of the cost (see ``modet.prox``), or on its
+    tolerance or sweep cap. Stops when
+    max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration budget
+    runs out; a final_delta above tau flags the latter for the caller.
     """
     pix = d.pixels
     p = pix.size
@@ -103,26 +99,24 @@ def separate(
     for iters in range(1, params.max_sep_iters + 1):
         r_new = np.linalg.solve(gram, L.T @ (pix - s))
         u = pix - L @ r_new
-        # cost at (r_new, s): the prox step must not raise it
-        bound = frame_cost(u - s, r_new, penalty, params)
-        tol = params.prox_tol
-        for _ in range(1 + _DESCENT_RETRIES):
-            s_new, xi, sweeps, change = structured_prox_dual(
-                u,
-                g,
-                params.lambda2,
-                tol=tol,
-                max_iters=params.max_prox_iters,
-                init=xi,
-            )
-            sweeps_total += sweeps
-            capped += int(sweeps >= params.max_prox_iters and change > tol)
-            penalty_new = params.lambda2 * omega_norm(s_new, g)
-            cost = frame_cost(u - s_new, r_new, penalty_new, params)
-            if cost <= bound:
-                break
-            # stopped short of descent: resume the same dual, tighter
-            tol /= 100.0
+        # the cost at (r_new, s) less its ridge term: the prox objective at
+        # s, which the prox step must not raise
+        bound = (frame_cost(u - s, r_new, penalty, params)
+                 - 0.5 * params.lambda1 * (r_new @ r_new))
+        s_new, xi, sweeps, change = structured_prox_dual(
+            u,
+            g,
+            params.lambda2,
+            tol=params.prox_tol,
+            max_iters=params.max_prox_iters,
+            init=xi,
+            bound=bound,
+        )
+        sweeps_total += sweeps
+        capped += int(sweeps >= params.max_prox_iters
+                      and change > params.prox_tol)
+        penalty_new = params.lambda2 * omega_norm(s_new, g)
+        cost = frame_cost(u - s_new, r_new, penalty_new, params)
         delta = max(
             float(np.linalg.norm(r_new - r)), float(np.linalg.norm(s_new - s))
         ) / p

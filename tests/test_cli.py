@@ -248,13 +248,55 @@ def test_run_reads_and_echoes_non_ascii_paths(small_sequence, tmp_path):
 
 @pytest.mark.parametrize("flag", [["--seg", "quantile:1.5"],
                                   ["--seg", "quantile:0"],
-                                  ["--downsample", "0"]])
+                                  ["--downsample", "0"],
+                                  ["--seg", "fixed:nan"],
+                                  ["--seg", "fixed:inf"],
+                                  ["--iou-thresh", "5"],
+                                  ["--iou-thresh", "0"],
+                                  ["--rank", "0"],
+                                  ["--lambda1", "-1"],
+                                  ["--lambda2", "0"],
+                                  ["--lambda2", "inf"],
+                                  ["--tau", "-1"],
+                                  ["--tau", "nan"]])
 def test_run_bad_value_is_usage_error(small_sequence, tmp_path, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--input", str(small_sequence), "--out", str(out), *flag])
+        main(["run", "--input", str(small_sequence), "--out", str(out),
+              "--gt", str(small_sequence / "gt.csv"), *flag])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "0", "nan"])
+def test_eval_bad_iou_thresh_is_usage_error(tmp_path, value):
+    path = tmp_path / "boxes.csv"
+    write_boxes_csv(path, {0: [Box(0, 0, 4, 4)]})
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--dets", str(path), "--gt", str(path),
+              "--iou-thresh", value])
+    assert exc.value.code == 2
+
+
+def test_run_warns_once_about_exhausted_separations(small_sequence, tmp_path,
+                                                    monkeypatch, caplog):
+    # one iteration per frame: frames with a foreground stop above tau
+    monkeypatch.setattr(modet.cli, "HyperParams",
+                        functools.partial(HyperParams, max_sep_iters=1))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="modet.cli"):
+        rc = main(["run", "--input", str(small_sequence), "--out", str(out),
+                   "--rank", "4", "--downsample", "3"])
+    assert rc == 0
+    header, rows = read_rows(out / "metrics.csv")
+    col = header.index("final_delta")
+    exhausted = [row[0] for row in rows if float(row[col]) > 1e-5]
+    assert exhausted
+    warnings = [r.getMessage() for r in caplog.records
+                if r.name == "modet.cli" and "separation" in r.getMessage()]
+    assert warnings == [
+        f"{len(exhausted)} frames stopped at the 1-iteration separation cap "
+        "with their change above tau: " + " ".join(exhausted)]
 
 
 def test_run_dump_frames(small_sequence, tmp_path):

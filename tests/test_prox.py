@@ -19,6 +19,7 @@ from modet.groups import GroupStructure, build_grid_groups, omega_norm
 from modet.io import SynthSpec, synth_sequence
 from modet.pipeline import run_sequence
 from modet.prox import (
+    ETA,
     _CFLAGS,
     _SOURCE,
     _load_kernel,
@@ -308,6 +309,23 @@ class TestStructuredProx:
             assert np.abs(s - fixed).max() <= 10 * tol
             assert sweeps < plain_sweeps
 
+    def test_bound_stops_early_with_a_certified_descent(self):
+        g = build_grid_groups(64, 64)
+        u = gaussian_blob()
+        ref, _, full_sweeps, _ = structured_prox_dual(u, g, 0.16, tol=1e-12,
+                                                      max_iters=2000)
+        best = primal_objective(u, ref, g, 0.16)
+        for bound in (0.5 * (u @ u), best + 0.01 * (0.5 * (u @ u) - best)):
+            s, _, sweeps, change = structured_prox_dual(u, g, 0.16,
+                                                        bound=bound)
+            assert change > 1e-8 and sweeps < full_sweeps  # the gap stopped it
+            value = primal_objective(u, s, g, 0.16)
+            assert value <= bound
+            assert value - best <= ETA * (bound - value) + 1e-12
+        # a bound at the optimum leaves the gap test unmet: tol stops the call
+        _, _, _, change = structured_prox_dual(u, g, 0.16, bound=best)
+        assert change <= 1e-8
+
     def test_rejects_bad_inputs(self):
         g = two_group_structure()
         with pytest.raises(ValueError):
@@ -318,6 +336,8 @@ class TestStructuredProx:
             structured_prox(np.zeros(9), g, 0.0)
         with pytest.raises(ValueError):
             structured_prox_dual(np.zeros(9), g, 0.3, init=np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            structured_prox_dual(np.zeros(9), g, 0.3, bound=np.nan)
 
 
 @pytest.mark.usefixtures("numpy_backend")
@@ -336,6 +356,29 @@ def test_prox_matches_oracle_on_random_structures(case):
             modet.prox._sweep_c = backend
             s = structured_prox(u, g, lam2, tol=1e-11, max_iters=5000)
             assert np.abs(s - ref).max() < 1e-5
+    finally:
+        modet.prox._sweep_c = kernel
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_structures(), st.floats(0.0, 1.0))
+def test_bounded_prox_stops_below_its_bound_near_the_optimum(case, frac):
+    g, u, lam2 = case
+    best = primal_objective(u, structured_prox(u, g, lam2, tol=1e-12,
+                                               max_iters=5000), g, lam2)
+    # between the optimum and P(0) = 0.5 ||u||^2; at frac 0 only tol stops
+    bound = best + frac * (0.5 * (u @ u) - best)
+    kernel = modet.prox._sweep_c
+    try:
+        for backend in (kernel, None):  # C (when built), then numpy
+            modet.prox._sweep_c = backend
+            s, _, sweeps, change = structured_prox_dual(u, g, lam2,
+                                                        bound=bound)
+            if change <= 1e-8 or sweeps >= 200:
+                continue  # stopped on tol or on the cap
+            value = primal_objective(u, s, g, lam2)
+            assert value <= bound + 1e-12
+            assert value - best <= ETA * (bound - value) + 1e-12
     finally:
         modet.prox._sweep_c = kernel
 
@@ -401,17 +444,24 @@ class TestBackends:
                           r.normal(0, 0.3, n * n) * (r.random(n * n) < 0.3),
                           0.16))
         for g, u, lam in cases:
+            # bounds at P(0) and just above the optimum: the gap test stops
+            # the call early, or (when s = 0 is optimal) never
+            best = primal_objective(u, structured_prox(u, g, lam), g, lam)
+            bounds = (0.5 * (u @ u), best + 1e-3 * (0.5 * (u @ u) - best))
             # tol=0 keeps sweeping after the dual has settled, with nearly
             # every group left unchanged by its last visit
             for kw in (dict(), dict(tol=1e-12, max_iters=500),
-                       dict(tol=0.0, max_iters=3), dict(tol=0.0, max_iters=300)):
+                       dict(tol=0.0, max_iters=3), dict(tol=0.0, max_iters=300),
+                       dict(bound=bounds[0]), dict(bound=bounds[1]),
+                       dict(tol=0.0, max_iters=300, bound=bounds[1])):
                 c, numpy = self.both(monkeypatch,
                                      lambda: prox_bytes(u, g, lam, **kw))
                 assert c == numpy
             _, warm, _, _ = structured_prox_dual(u, g, lam, max_iters=2)
-            c, numpy = self.both(
-                monkeypatch, lambda: prox_bytes(u * 0.9, g, lam, init=warm))
-            assert c == numpy
+            for kw in (dict(), dict(bound=0.5 * 0.81 * (u @ u))):
+                c, numpy = self.both(monkeypatch, lambda: prox_bytes(
+                    u * 0.9, g, lam, init=warm, **kw))
+                assert c == numpy
         # one 5x5 blob on 64x64, warm-started from its converged dual: from
         # the first sweep on, nearly every group is left unchanged
         g = build_grid_groups(64, 64)
@@ -420,7 +470,8 @@ class TestBackends:
         _, done, _, _ = structured_prox_dual(blob.ravel(), g, 0.16, tol=0.0,
                                              max_iters=2000)
         for u in (blob.ravel(), np.roll(blob, 1, axis=1).ravel()):
-            for kw in (dict(), dict(tol=0.0, max_iters=50)):
+            for kw in (dict(), dict(tol=0.0, max_iters=50),
+                       dict(bound=0.5 * (u @ u))):
                 c, numpy = self.both(monkeypatch, lambda: prox_bytes(
                     u, g, 0.16, init=done, **kw))
                 assert c == numpy
@@ -445,7 +496,8 @@ class TestBackends:
 # Runs a kernel library given on the command line against the numpy sweeps
 # on random structures of one group size each, cold and warm-started, where
 # the extrapolation step fires, and on two sparse grids where its safeguard
-# turns it off.
+# turns it off; each call without a bound and with the bound P(0), where
+# the gap test stops it.
 ASAN_SCRIPT = """
 import ctypes, sys
 import numpy as np
@@ -476,12 +528,14 @@ for case, (g, u, lam, sweeps) in enumerate(cases):
     for kernel in (fn, None):
         prox._sweep_c = kernel
         for init in (None, warm):
-            s, xi, n, change = prox.structured_prox_dual(
-                u, g, lam, tol=0.0, max_iters=sweeps, init=init)
-            out.append((s.tobytes(), xi.tobytes(), n, change))
-    if out[:2] != out[2:]:
+            for bound in (None, 0.5 * (u @ u)):
+                s, xi, n, change = prox.structured_prox_dual(
+                    u, g, lam, tol=0.0, max_iters=sweeps, init=init,
+                    bound=bound)
+                out.append((s.tobytes(), xi.tobytes(), n, change))
+    if out[:4] != out[4:]:
         sys.exit(f"case {case}: the kernel and numpy differ")
-print(f"{len(cases)} cases bit-identical")
+print(f"{len(cases)} cases bit-identical, with and without a bound")
 """
 
 
@@ -509,7 +563,8 @@ class TestKernelBuild:
                              env=env, capture_output=True, text=True,
                              timeout=600)
         assert run.returncode == 0, run.stderr[-4000:]
-        assert run.stdout.strip() == "52 cases bit-identical"
+        assert (run.stdout.strip()
+                == "52 cases bit-identical, with and without a bound")
 
     def test_missing_compiler_falls_back(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="modet.prox"):

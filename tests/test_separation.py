@@ -177,8 +177,8 @@ class TestSeparate:
         s0[1:4, 1:4] = rng.uniform(0.5, 1.0, (3, 3))
         d = Frame(L @ rng.normal(size=2) + s0.ravel(), 8, 8)
         res = separate(d, L, g, make_params(64, max_prox_iters=1))
-        assert res.prox_sweeps > res.iters  # descent retries are counted
-        assert res.prox_capped == res.prox_sweeps
+        # one call of one sweep per iteration
+        assert res.prox_sweeps == res.prox_capped == res.iters
 
     def test_easy_frame_has_no_capped_prox_call(self):
         rng = np.random.default_rng(3)
