@@ -30,10 +30,8 @@ from .prox import oracle_prox, project_l1_ball, structured_prox
 from .separation import ridge_solve, separate
 from .subspace import (
     closed_form_basis,
-    empirical_cost,
     load_checkpoint,
     save_checkpoint,
-    surrogate_cost,
     update_accumulators,
     update_basis,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "closed_form_basis",
     "connected_components",
     "default_hyperparams",
-    "empirical_cost",
     "init_subspace",
     "iou",
     "load_checkpoint",
@@ -69,7 +66,6 @@ __all__ = [
     "save_checkpoint",
     "separate",
     "structured_prox",
-    "surrogate_cost",
     "threshold_mask",
     "update_accumulators",
     "update_basis",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import prox
+from . import prox, separation
 from .detection import (
     BOXES_HEADER,
     MatchResult,
@@ -179,12 +179,13 @@ def cmd_run(args) -> int:
         )
     if capped:
         log.warning("%d prox calls stopped at the %d-sweep cap, in %d "
-                    "frames: %s", sum(capped.values()), params.max_prox_iters,
-                    len(capped), _frame_list(list(capped)))
+                    "frames: %s", sum(capped.values()),
+                    separation.MAX_PROX_ITERS, len(capped),
+                    _frame_list(list(capped)))
     if exhausted:
         log.warning("%d frames stopped at the %d-iteration separation cap "
                     "with their change above tau: %s", len(exhausted),
-                    params.max_sep_iters, _frame_list(exhausted))
+                    separation.MAX_SEP_ITERS, _frame_list(exhausted))
     print(
         f"processed {summary.frames_processed} frames "
         f"({summary.mean_wall_ms:.1f} ms/frame), "
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dets", required=True, help="detections CSV")
     ev.add_argument("--gt", required=True, help="groundtruth CSV")
     ev.add_argument("--iou-thresh", type=_iou_thresh, default=0.3)
-    ev.add_argument("--window", type=int, default=5)
+    ev.add_argument("--window", type=_positive_int, default=5)
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -36,24 +36,24 @@ class Frame:
 
 @dataclass
 class HyperParams:
-    """Weights and iteration budgets for separation and basis updates.
+    """The four values that ``modet run`` sets for a stream.
 
     lambda1 weighs the low-rank/ridge terms, lambda2 the structured-sparsity
-    penalty, tau is the per-frame separation stop tolerance.
+    penalty, rank is the number of basis columns, tau is the per-frame
+    separation stop tolerance. The solvers' iteration budgets are the
+    constants of ``modet.separation``.
     """
 
     lambda1: float
     lambda2: float
     rank: int = 25
     tau: float = 1e-5
-    max_sep_iters: int = 100
-    prox_tol: float = 1e-8
-    max_prox_iters: int = 200
-    basis_passes: int = 1
 
     def __post_init__(self):
-        if not (self.lambda1 > 0 and self.lambda2 > 0 and self.tau > 0):
-            raise ValueError("lambda1, lambda2 and tau must be positive")
+        weights = (self.lambda1, self.lambda2, self.tau)
+        if not all(w > 0 and math.isfinite(w) for w in weights):
+            raise ValueError("lambda1, lambda2 and tau must be positive and "
+                             "finite")
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
@@ -117,12 +117,13 @@ class SeparationResult:
     """Output of one frame's foreground/background separation.
 
     ``background`` is always basis @ coeffs recomputed from the final
-    coefficients. ``objective_trace`` holds the joint objective value after
-    each alternation, ``final_delta`` the last stop-criterion value
-    (> tau only when the iteration budget ran out). ``prox_sweeps`` sums the
-    dual sweeps of the frame's prox calls, one call per iteration;
-    ``prox_capped`` counts the calls that ran out of sweeps with the dual
-    change still above their tolerance.
+    coefficients. ``objective_trace`` holds the per-frame cost after each
+    alternation, ``final_delta`` the last stop-criterion value (> tau only
+    when ``modet.separation.MAX_SEP_ITERS`` ran out). ``prox_sweeps`` sums
+    the dual sweeps of the frame's prox calls, one call per iteration;
+    ``prox_capped`` counts the calls that hit
+    ``modet.separation.MAX_PROX_ITERS`` with the dual change still above
+    ``modet.separation.PROX_TOL``.
     """
 
     coeffs: np.ndarray

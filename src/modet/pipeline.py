@@ -51,8 +51,8 @@ class SurrogateTracker:
 
     The cost over the frozen history decomposes into the accumulator
     matrices plus one scalar: the per-frame cost with the background left
-    out of the residual, summed once per frame. Matches the desk-scale
-    history evaluation to rounding.
+    out of the residual, summed once per frame. Matches the evaluation over
+    the stored history to rounding.
     """
 
     def __init__(self):
@@ -93,9 +93,9 @@ def process_frame(
     """One step of the online loop; returns (model, FrameOutput).
 
     Separates the frame against the current basis, folds the result into the
-    accumulators, then runs the configured number of basis sweeps. The model
-    is updated in place and returned. With a ``tracker``, the frame is folded
-    into it too, and the output carries ``basis_delta`` and ``g_cost``.
+    accumulators, then runs one basis sweep. The model is updated in place
+    and returned. With a ``tracker``, the frame is folded into it too, and
+    the output carries ``basis_delta`` and ``g_cost``.
     """
     t0 = time.perf_counter()
     res = separate(d, model.basis, g, params)
@@ -103,7 +103,7 @@ def process_frame(
     if tracker is not None:
         tracker.add(d, res, g, params)
         prev_basis = model.basis.copy()
-    update_basis(model, params.lambda1, passes=params.basis_passes)
+    update_basis(model, params.lambda1)
     basis_delta = g_cost = None
     if tracker is not None:
         basis_delta = float(np.linalg.norm(model.basis - prev_basis))

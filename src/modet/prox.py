@@ -4,7 +4,7 @@ The primal problem  min_s 0.5*||u - s||^2 + lambda2 * Omega(s)  is handled via
 its dual: one l1-ball-constrained vector xi_g per group, coupled only through
 the shared residual u - sum_g xi_g. Block coordinate descent over the groups
 is exact per block (a Euclidean l1-ball projection); the primal solution is
-recovered as s = u - sum_g xi_g.
+that residual, s = u - sum_g xi_g, which the sweeps keep up to date.
 
 A sweep visits the groups color-major: the color classes in sequence, the
 groups of one color in index order. Two backends run that one schedule: a
@@ -217,8 +217,9 @@ def structured_prox_dual(
     single dual entry change in a sweep drops to ``tol`` or after
     ``max_iters`` sweeps. With a ``bound`` it also stops once the primal
     value is at most ``bound`` and the duality gap at most ``ETA`` times the
-    margin (see the module docstring). ``xi`` is the dual state, one row per
-    group aligned with ``g.index_matrix``; passing a returned ``xi`` as
+    margin (see the module docstring). ``s`` is the residual the sweeps
+    kept, the vector that test certified. ``xi`` is the dual state, one row
+    per group aligned with ``g.index_matrix``; passing a returned ``xi`` as
     ``init`` warm-starts the dual variables.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
@@ -242,9 +243,7 @@ def structured_prox_dual(
     res = u - _scatter_sum(xi, g)
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
     sweeps, change = sweep(g, xi, res, u, radii, tol, int(max_iters), bound)
-
-    s = u - _scatter_sum(xi, g)
-    return s, xi, int(sweeps), float(change)
+    return res, xi, int(sweeps), float(change)
 
 
 def _c_sweeps(g, xi, res, u, radii, tol, max_iters, bound):

@@ -3,6 +3,8 @@
 Each iteration solves the ridge problem for the subspace coefficients with
 the foreground fixed, then the structured prox for the foreground with the
 coefficients fixed, until the scaled change of both blocks drops below tau.
+The solvers' budgets are the module constants below, which ``separate``
+reads at each call.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import numpy as np
 from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
 from .prox import structured_prox_dual
+
+MAX_SEP_ITERS = 100  # alternations per frame
+PROX_TOL = 1e-8  # a prox call's stop on its largest dual change
+MAX_PROX_ITERS = 200  # dual sweeps per prox call
 
 
 def ridge_solve(
@@ -46,18 +52,6 @@ def frame_cost(
     return float(0.5 * resid @ resid + 0.5 * params.lambda1 * (r @ r) + penalty)
 
 
-def joint_objective(
-    d: np.ndarray,
-    L: np.ndarray,
-    r: np.ndarray,
-    s: np.ndarray,
-    g: GroupStructure,
-    params: HyperParams,
-) -> float:
-    """Joint per-frame cost 0.5*||d-Lr-s||^2 + 0.5*lam1*||r||^2 + lam2*Omega(s)."""
-    return frame_cost(d - L @ r - s, r, params.lambda2 * omega_norm(s, g), params)
-
-
 def separate(
     d: Frame,
     L: np.ndarray,
@@ -69,10 +63,11 @@ def separate(
     Starts cold at r = 0, s = 0 and alternates the exact ridge step with the
     structured prox. Each prox call gets as its bound the prox objective of
     the previous foreground at the new coefficients, so it stops once it
-    has certified a descent of the cost (see ``modet.prox``), or on its
-    tolerance or sweep cap. Stops when
-    max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or the iteration budget
-    runs out; a final_delta above tau flags the latter for the caller.
+    has certified a descent of the cost (see ``modet.prox``), or on
+    ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. Stops when
+    max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or after
+    ``MAX_SEP_ITERS`` iterations; a final_delta above tau flags the latter
+    for the caller.
     """
     pix = d.pixels
     p = pix.size
@@ -96,7 +91,7 @@ def separate(
     delta = np.inf
     iters = 0
     sweeps_total = capped = 0
-    for iters in range(1, params.max_sep_iters + 1):
+    for iters in range(1, MAX_SEP_ITERS + 1):
         r_new = np.linalg.solve(gram, L.T @ (pix - s))
         u = pix - L @ r_new
         # the cost at (r_new, s) less its ridge term: the prox objective at
@@ -107,14 +102,13 @@ def separate(
             u,
             g,
             params.lambda2,
-            tol=params.prox_tol,
-            max_iters=params.max_prox_iters,
+            tol=PROX_TOL,
+            max_iters=MAX_PROX_ITERS,
             init=xi,
             bound=bound,
         )
         sweeps_total += sweeps
-        capped += int(sweeps >= params.max_prox_iters
-                      and change > params.prox_tol)
+        capped += int(sweeps >= MAX_PROX_ITERS and change > PROX_TOL)
         penalty_new = params.lambda2 * omega_norm(s_new, g)
         cost = frame_cost(u - s_new, r_new, penalty_new, params)
         delta = max(

@@ -1,4 +1,4 @@
-"""Online subspace-basis maintenance and its verification oracles.
+"""Online subspace-basis maintenance, its closed-form oracle, checkpoints.
 
 The basis minimizes a quadratic surrogate built from two running matrices:
 accA = sum of coefficient outer products, accB = sum of (frame - foreground)
@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import replace
 
 import numpy as np
 
-from .groups import GroupStructure
-from .model import Frame, HyperParams, SeparationResult, SubspaceModel
-from .separation import joint_objective, separate
+from .model import Frame, SeparationResult, SubspaceModel
 
 CHECKPOINT_MAGIC = b"MODETCKP"
 CHECKPOINT_VERSION = 1
@@ -81,69 +78,6 @@ def closed_form_basis(model: SubspaceModel, lambda1: float) -> np.ndarray:
         raise ValueError("lambda1 must be positive")
     At = model.accA + lambda1 * np.eye(model.rank)
     return np.linalg.solve(At, model.accB.T).T
-
-
-def basis_quadratic(model: SubspaceModel, lambda1: float, L=None) -> float:
-    """The quadratic tr(L^T L (accA + lambda1 I)) - 2 tr(L^T accB).
-
-    Equal to 2*frames_seen times the surrogate cost up to an L-independent
-    constant; used to check per-column descent.
-    """
-    if L is None:
-        L = model.basis
-    At = model.accA + lambda1 * np.eye(model.rank)
-    return float(np.sum((L.T @ L) * At) - 2.0 * np.sum(L * model.accB))
-
-
-def surrogate_cost(
-    model: SubspaceModel,
-    history,
-    g: GroupStructure,
-    params: HyperParams,
-) -> float:
-    """Surrogate cost at the model's basis over the retained history.
-
-    ``history`` is the list of (Frame, SeparationResult) pairs in processing
-    order, with the coefficient/foreground pairs frozen as produced;
-    its length must equal frames_seen. Desk-scale diagnostic.
-    """
-    if len(history) == 0:
-        raise ValueError("history is empty")
-    if len(history) != model.frames_seen:
-        raise ValueError(
-            f"history length {len(history)} != frames seen {model.frames_seen}"
-        )
-    L = model.basis
-    t = len(history)
-    total = 0.0
-    for frame, res in history:
-        total += joint_objective(frame.pixels, L, res.coeffs, res.foreground,
-                                 g, params)
-    return float(total / t + 0.5 * params.lambda1 * np.sum(L * L) / t)
-
-
-def empirical_cost(
-    L: np.ndarray,
-    frames,
-    g: GroupStructure,
-    params: HyperParams,
-) -> float:
-    """Average fully re-optimized per-frame cost at a fixed basis.
-
-    Re-runs the separation for every frame at a 10x tighter stop tolerance;
-    desk-scale diagnostic.
-    """
-    frames = list(frames)
-    if len(frames) == 0:
-        raise ValueError("no frames given")
-    tight = replace(params, tau=params.tau / 10.0)
-    total = 0.0
-    for frame in frames:
-        res = separate(frame, L, g, tight)
-        total += joint_objective(frame.pixels, L, res.coeffs, res.foreground,
-                                 g, params)
-    n = len(frames)
-    return float(total / n + 0.5 * params.lambda1 * np.sum(L * L) / n)
 
 
 def save_checkpoint(

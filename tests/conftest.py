@@ -1,6 +1,11 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import modet.prox
+from modet.groups import omega_norm
+from modet.separation import frame_cost, separate
 
 
 @pytest.fixture
@@ -20,3 +25,37 @@ def add_covering_windows(rows, p, k):
             rows.append(list(range(start, start + k)))
             hit.update(rows[-1])
     return rows
+
+
+# Reference costs from the convergence analysis of the online loop, which
+# the tests compare the library against.
+def joint_objective(d, L, r, s, g, params):
+    """Per-frame cost 0.5*||d-Lr-s||^2 + 0.5*lam1*||r||^2 + lam2*Omega(s)."""
+    return frame_cost(d - L @ r - s, r, params.lambda2 * omega_norm(s, g),
+                      params)
+
+
+def surrogate_cost(model, history, g, params):
+    """Surrogate cost at the model's basis over the stored history.
+
+    ``history`` holds the (Frame, SeparationResult) pairs in processing
+    order, one per frame the model has seen, each as it was produced.
+    """
+    L = model.basis
+    total = sum(joint_objective(frame.pixels, L, res.coeffs, res.foreground,
+                                g, params) for frame, res in history)
+    t = len(history)
+    return float(total / t + 0.5 * params.lambda1 * np.sum(L * L) / t)
+
+
+def empirical_cost(L, frames, g, params):
+    """Average per-frame cost at a fixed basis, each frame separated anew
+    at a 10x tighter stop tolerance."""
+    tight = replace(params, tau=params.tau / 10.0)
+    total = 0.0
+    for frame in frames:
+        res = separate(frame, L, g, tight)
+        total += joint_objective(frame.pixels, L, res.coeffs, res.foreground,
+                                 g, params)
+    n = len(frames)
+    return float(total / n + 0.5 * params.lambda1 * np.sum(L * L) / n)

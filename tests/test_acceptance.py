@@ -82,7 +82,7 @@ def bench():
         tracker.add(frame, res, g, params)
         prev = model.basis.copy()
         _, col_deltas = update_basis(
-            model, params.lambda1, passes=params.basis_passes, return_deltas=True
+            model, params.lambda1, passes=1, return_deltas=True
         )
         worst_col_delta = max(worst_col_delta, float(col_deltas.max()))
         basis_deltas.append(float(np.linalg.norm(model.basis - prev)))
@@ -291,7 +291,7 @@ def test_criterion_08_downsampling_robustness(bench):
                 continue
             res = separate(frame, model.basis, g, params)
             update_accumulators(model, frame, res)
-            update_basis(model, params.lambda1, passes=params.basis_passes)
+            update_basis(model, params.lambda1, passes=1)
             mask = threshold_mask(res.foreground, mode=SEG[0], value=SEG[1])
             boxes = connected_components(mask, spec.height, spec.width,
                                          min_area=2)

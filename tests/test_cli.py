@@ -1,4 +1,4 @@
-import functools
+import dataclasses
 import logging
 import os
 import shutil
@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import modet.cli
-from modet.cli import _frame_list, main
+import modet.separation
+from modet.cli import _frame_list, build_parser, main
 from modet.detection import (
     Box,
     connected_components,
@@ -103,8 +104,7 @@ def test_run_on_synthetic_sequence(small_sequence, tmp_path, caplog):
 def test_run_warns_once_about_capped_prox_calls(small_sequence, tmp_path,
                                                 monkeypatch, caplog):
     # two sweeps per prox call: frames with a foreground hit the cap
-    monkeypatch.setattr(modet.cli, "HyperParams",
-                        functools.partial(HyperParams, max_prox_iters=2))
+    monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 2)
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="modet.cli"):
         rc = main(["run", "--input", str(small_sequence), "--out", str(out),
@@ -278,11 +278,30 @@ def test_eval_bad_iou_thresh_is_usage_error(tmp_path, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_eval_bad_window_is_usage_error(tmp_path, value):
+    path = tmp_path / "boxes.csv"
+    write_boxes_csv(path, {0: [Box(0, 0, 4, 4)]})
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--dets", str(path), "--gt", str(path),
+              "--window", value])
+    assert exc.value.code == 2
+
+
+def test_every_hyperparam_has_a_run_flag():
+    # a config field comes with the `modet run` flag that sets it
+    names = [f.name for f in dataclasses.fields(HyperParams)]
+    assert names == ["lambda1", "lambda2", "rank", "tau"]
+    for name in names:
+        args = build_parser().parse_args(
+            ["run", "--input", "in", "--out", "out", f"--{name}", "3"])
+        assert getattr(args, name) == 3
+
+
 def test_run_warns_once_about_exhausted_separations(small_sequence, tmp_path,
                                                     monkeypatch, caplog):
     # one iteration per frame: frames with a foreground stop above tau
-    monkeypatch.setattr(modet.cli, "HyperParams",
-                        functools.partial(HyperParams, max_sep_iters=1))
+    monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", 1)
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="modet.cli"):
         rc = main(["run", "--input", str(small_sequence), "--out", str(out),

@@ -54,6 +54,13 @@ def test_hyperparams_validation():
         HyperParams(lambda1=1.0, lambda2=1.0, rank=0)
     with pytest.raises(ValueError):
         HyperParams(lambda1=1.0, lambda2=1.0, tau=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            HyperParams(lambda1=bad, lambda2=1.0, rank=2)
+        with pytest.raises(ValueError):
+            HyperParams(lambda1=1.0, lambda2=bad, rank=2)
+        with pytest.raises(ValueError):
+            HyperParams(lambda1=1.0, lambda2=1.0, tau=bad)
 
 
 def test_frame_shape_validation():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import surrogate_cost
 from modet.groups import build_grid_groups
 from modet.model import Frame, HyperParams, init_subspace
 from modet.pipeline import SurrogateTracker, process_frame, run_sequence
-from modet.subspace import surrogate_cost
 
 
 def make_setup(p=16, H=4, W=4, rank=2, seed=0):

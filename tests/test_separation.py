@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import modet.separation
+from conftest import joint_objective
 from modet.groups import build_grid_groups
 from modet.io import SynthSpec, iter_sequence, synth_sequence, write_sequence_dir
 from modet.model import Frame, HyperParams
 from modet.pipeline import run_sequence
-from modet.separation import joint_objective, ridge_solve, separate
+from modet.separation import ridge_solve, separate
 
 
 def make_params(p, **kw):
@@ -85,7 +87,8 @@ class TestSeparate:
         r_ridge = ridge_solve(d.pixels, np.zeros(16), L, params.lambda1)
         assert np.allclose(res.coeffs, r_ridge, atol=1e-10)
 
-    def test_planted_foreground_recovery_and_oracle_objective(self):
+    def test_planted_foreground_recovery_and_oracle_objective(self,
+                                                              monkeypatch):
         rng = np.random.default_rng(5)
         g = build_grid_groups(4, 4)
         L = rng.normal(size=(16, 2)) / 4.0
@@ -99,10 +102,10 @@ class TestSeparate:
         top = np.argsort(-np.abs(res.foreground))[: block.size]
         assert set(top.tolist()) == set(block.tolist())
         # long-run alternation oracle: 10x budget, much tighter tolerances
-        tight = HyperParams(
-            lambda1=params.lambda1, lambda2=params.lambda2, rank=2,
-            tau=1e-12, max_sep_iters=1000, prox_tol=1e-13, max_prox_iters=2000,
-        )
+        tight = make_params(16, lambda2=0.05, tau=1e-12)
+        monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", 1000)
+        monkeypatch.setattr(modet.separation, "PROX_TOL", 1e-13)
+        monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 2000)
         ref = separate(d, L, g, tight)
         got = joint_objective(d.pixels, L, res.coeffs, res.foreground, g, params)
         best = joint_objective(d.pixels, L, ref.coeffs, ref.foreground, g, params)
@@ -143,17 +146,18 @@ class TestSeparate:
         res = separate(d, L, g, params)
         assert np.abs(res.foreground).max() <= 1e-12
 
-    def test_tiny_lambda2_limit(self):
+    def test_tiny_lambda2_limit(self, monkeypatch):
         rng = np.random.default_rng(8)
         g = build_grid_groups(4, 4)
         L = rng.normal(size=(16, 2)) / 4.0
         d = Frame(rng.uniform(0, 1, 16), 4, 4)
         eps = 1e-8
-        params = make_params(16, lambda2=eps, tau=1e-12, max_sep_iters=500)
+        params = make_params(16, lambda2=eps, tau=1e-12)
+        monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", 500)
         res = separate(d, L, g, params)
         assert np.abs(d.pixels - res.background - res.foreground).max() <= 10 * eps
 
-    def test_budget_exhaustion_is_flagged_not_raised(self):
+    def test_budget_exhaustion_is_flagged_not_raised(self, monkeypatch):
         # a 3x3 foreground block on a rank-3 background: the separation
         # needs about 50 iterations to reach tau, so 2 leave it well short
         rng = np.random.default_rng(9)
@@ -162,12 +166,13 @@ class TestSeparate:
         s0 = np.zeros((5, 5))
         s0[1:4, 1:4] = 3.0
         d = Frame(L @ rng.normal(size=3) + s0.ravel(), 5, 5)
-        params = make_params(25, rank=3, tau=1e-14, max_sep_iters=2)
+        params = make_params(25, rank=3, tau=1e-14)
+        monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", 2)
         res = separate(d, L, g, params)
         assert res.iters == 2
         assert res.final_delta > params.tau
 
-    def test_capped_prox_calls_counted(self):
+    def test_capped_prox_calls_counted(self, monkeypatch):
         # one sweep per prox call: every call on a frame with foreground
         # stops at the cap with its dual still moving
         rng = np.random.default_rng(0)
@@ -176,7 +181,8 @@ class TestSeparate:
         s0 = np.zeros((8, 8))
         s0[1:4, 1:4] = rng.uniform(0.5, 1.0, (3, 3))
         d = Frame(L @ rng.normal(size=2) + s0.ravel(), 8, 8)
-        res = separate(d, L, g, make_params(64, max_prox_iters=1))
+        monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 1)
+        res = separate(d, L, g, make_params(64))
         # one call of one sweep per iteration
         assert res.prox_sweeps == res.prox_capped == res.iters
 

@@ -1,19 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import empirical_cost, surrogate_cost
 from modet.groups import build_grid_groups, omega_norm
 from modet.model import Frame, HyperParams, SeparationResult, SubspaceModel
+from modet.pipeline import SurrogateTracker
 from modet.separation import separate
 from modet.subspace import (
-    basis_quadratic,
     closed_form_basis,
-    empirical_cost,
     load_checkpoint,
     save_checkpoint,
-    surrogate_cost,
     update_accumulators,
     update_basis,
 )
@@ -107,21 +108,25 @@ class TestBasisUpdate:
         m.accB = rng.normal(size=(7, 3))
         m.frames_seen = 9
         lam1 = 0.3
+        params = HyperParams(lambda1=lam1, lambda2=1.0, rank=3)
         At = m.accA + lam1 * np.eye(3)
+
+        def quadratic(L):
+            # tr(L^T L At) - 2 tr(L^T accB): the surrogate at 9 frames with
+            # no frame folded into the tracker's constant, times 2*9
+            return 18.0 * SurrogateTracker().value(
+                SubspaceModel(L, m.accA, m.accB, 9), params)
+
         # replay the column updates one at a time, evaluating the quadratic
         L = m.basis.copy()
         reported = update_basis(m, lam1, passes=2, return_deltas=True)[1]
         k = 0
         for _ in range(2):
             for i in range(3):
-                before = basis_quadratic(
-                    SubspaceModel(L, m.accA, m.accB, 9), lam1
-                )
+                before = quadratic(L)
                 step = (m.accB[:, i] - L @ At[:, i]) / At[i, i]
                 L[:, i] += step
-                after = basis_quadratic(
-                    SubspaceModel(L, m.accA, m.accB, 9), lam1
-                )
+                after = quadratic(L)
                 assert after <= before + 1e-10
                 assert abs((after - before) - reported[k]) < 1e-8
                 k += 1
@@ -219,11 +224,10 @@ class TestCosts:
         g_diff = surrogate_cost(m1, history, g, params) - surrogate_cost(
             m2, history, g, params
         )
-        t = model.frames_seen
-        q_diff = (
-            basis_quadratic(m1, params.lambda1) - basis_quadratic(m2, params.lambda1)
-        ) / (2.0 * t)
-        assert abs(g_diff - q_diff) < 1e-10
+        # the tracker's constant cancels in the difference
+        tracker = SurrogateTracker()
+        t_diff = tracker.value(m1, params) - tracker.value(m2, params)
+        assert abs(g_diff - t_diff) < 1e-10
 
     def test_surrogate_dominates_empirical(self):
         model, history, g, params = run_history(9, 3, 3, 2, 5, seed=14)
@@ -237,7 +241,6 @@ class TestCosts:
         params = HyperParams(lambda1=0.2, lambda2=0.4, rank=2)
         L = rng.normal(size=(9, 2)) / 3.0
         d = Frame(rng.uniform(0, 1, 9), 3, 3)
-        from dataclasses import replace
         res = separate(d, L, g, replace(params, tau=params.tau / 10.0))
         resid = d.pixels - res.background - res.foreground
         expect = (
@@ -253,13 +256,6 @@ class TestCosts:
         params = HyperParams(lambda1=0.2, lambda2=0.4, rank=2)
         frames = [Frame(np.zeros(9), 3, 3)]
         assert empirical_cost(np.zeros((9, 2)), frames, g, params) == 0.0
-
-    def test_surrogate_history_length_guard(self):
-        model, history, g, params = run_history(9, 3, 3, 2, 3, seed=16)
-        with pytest.raises(ValueError):
-            surrogate_cost(model, history[:-1], g, params)
-        with pytest.raises(ValueError):
-            surrogate_cost(model, [], g, params)
 
 
 class TestCheckpoint:
