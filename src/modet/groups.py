@@ -110,8 +110,18 @@ def build_grid_groups(H: int, W: int, k: int = 3) -> GroupStructure:
 
 
 def omega_norm(s: np.ndarray, g: GroupStructure) -> float:
-    """Weighted sum over groups of the max absolute value inside each group."""
+    """Weighted sum over groups of the max absolute value inside each group.
+
+    The group maxima are a running maximum over the k columns of
+    ``g.index_matrix``, one n_groups-long gather at a time, rather than a
+    gather of the whole (n_groups, k) matrix.
+    """
     s = np.asarray(s, dtype=np.float64).ravel()
     if s.size != g.p:
         raise ValueError(f"vector length {s.size} != group domain {g.p}")
-    return float(np.abs(s)[g.index_matrix].max(axis=1) @ g.weights)
+    a = np.abs(s)
+    cols = g.index_matrix.T
+    m = a[cols[0]]
+    for col in cols[1:]:
+        np.maximum(m, a[col], out=m)
+    return float(m @ g.weights)

@@ -75,6 +75,10 @@ _AITKEN_WAIT = 5
 _AITKEN_RATIO_TOL = 0.02
 # The duality-gap stop of a bounded call: the gap's share of the decrease.
 ETA = 0.01
+# A call's budget: its stop on the largest dual change of a sweep, and its
+# cap on sweeps.
+PROX_TOL = 1e-8
+MAX_PROX_ITERS = 200
 
 
 def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
@@ -204,8 +208,8 @@ def structured_prox_dual(
     u: np.ndarray,
     g: GroupStructure,
     lambda2: float,
-    tol: float = 1e-8,
-    max_iters: int = 200,
+    tol: float = PROX_TOL,
+    max_iters: int = MAX_PROX_ITERS,
     init: np.ndarray | None = None,
     bound: float | None = None,
 ):
@@ -312,8 +316,8 @@ def structured_prox(
     u: np.ndarray,
     g: GroupStructure,
     lambda2: float,
-    tol: float = 1e-8,
-    max_iters: int = 200,
+    tol: float = PROX_TOL,
+    max_iters: int = MAX_PROX_ITERS,
 ) -> np.ndarray:
     """Proximal map of lambda2 * Omega at u (primal solution only)."""
     s, _, _, _ = structured_prox_dual(u, g, lambda2, tol=tol, max_iters=max_iters)

@@ -3,8 +3,10 @@
 Each iteration solves the ridge problem for the subspace coefficients with
 the foreground fixed, then the structured prox for the foreground with the
 coefficients fixed, until the scaled change of both blocks drops below tau.
-The solvers' budgets are the module constants below, which ``separate``
-reads at each call.
+The solvers' budgets are module globals that ``separate`` reads at each
+call: ``MAX_SEP_ITERS``, and the prox budget ``PROX_TOL``/``MAX_PROX_ITERS``,
+which ``modet.prox`` defines and which this module imports under the same
+names (patching them here changes what ``separate`` passes to the prox).
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import numpy as np
 
 from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
-from .prox import structured_prox_dual
+from .prox import MAX_PROX_ITERS, PROX_TOL, structured_prox_dual
 
 MAX_SEP_ITERS = 100  # alternations per frame
-PROX_TOL = 1e-8  # a prox call's stop on its largest dual change
-MAX_PROX_ITERS = 200  # dual sweeps per prox call
 
 
 def ridge_solve(

@@ -51,8 +51,16 @@ def update_basis(
     quadratic tr(L^T L At) - 2 tr(L^T accB) over that column given the
     others (updated columns are used immediately within a sweep).
 
+    A sweep over the columns in order is one Gauss-Seidel step, so it is
+    computed in closed form: the new basis solves L' triu(At) = accB -
+    L tril(At, -1), i.e. L' = (accB - L tril(At, -1)) triu(At)^-1. That is
+    two p x r x r matrix products and the inverse of an r x r triangle,
+    whose diagonal is at least lambda1 > 0; it equals the column loop up
+    to rounding. ``passes`` repeats the sweep.
+
     When ``return_deltas`` is set, also returns the per-column change of that
-    quadratic objective, which is -At[i,i] * ||step||^2 by exact algebra.
+    quadratic objective, which is -At[i,i] * ||l'_i - l_i||^2 by exact
+    algebra.
     """
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
@@ -60,13 +68,17 @@ def update_basis(
         raise ValueError("passes must be >= 1")
     L = model.basis
     At = model.accA + lambda1 * np.eye(model.rank)
+    lower = np.tril(At, -1)
+    inv_upper = np.linalg.inv(np.triu(At))
     deltas = []
     for _ in range(passes):
-        for i in range(model.rank):
-            step = (model.accB[:, i] - L @ At[:, i]) / At[i, i]
-            L[:, i] += step
-            if return_deltas:
-                deltas.append(-At[i, i] * float(step @ step))
+        old = L.copy() if return_deltas else None
+        rhs = L @ lower
+        np.subtract(model.accB, rhs, out=rhs)
+        np.matmul(rhs, inv_upper, out=L)
+        if return_deltas:
+            step = L - old
+            deltas.extend(-np.diag(At) * (step * step).sum(axis=0))
     if return_deltas:
         return model, np.array(deltas)
     return model

@@ -27,6 +27,22 @@ def add_covering_windows(rows, p, k):
     return rows
 
 
+def basis_sweep_loop(model, lambda1, passes=1):
+    """``update_basis`` as the column loop it computes in closed form: the
+    block-coordinate sweep of Mairal, Bach, Ponce & Sapiro (JMLR 2010,
+    Algorithm 2), one column at a time. Leaves ``model`` as it is and
+    returns the new basis and the per-column changes of the quadratic."""
+    L = model.basis.copy()
+    At = model.accA + lambda1 * np.eye(model.rank)
+    deltas = []
+    for _ in range(passes):
+        for i in range(model.rank):
+            step = (model.accB[:, i] - L @ At[:, i]) / At[i, i]
+            L[:, i] += step
+            deltas.append(-At[i, i] * float(step @ step))
+    return L, np.array(deltas)
+
+
 # Reference costs from the convergence analysis of the online loop, which
 # the tests compare the library against.
 def joint_objective(d, L, r, s, g, params):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import add_covering_windows
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
@@ -148,10 +149,15 @@ def test_groups_of_unequal_size_are_rejected():
             GroupStructure(groups, [1.0] * len(groups), 3)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 12).flatmap(lambda p: st.tuples(
+# (p, k, perms): the first k entries of each permutation of range(p) make a
+# group, before add_covering_windows covers the rest
+covering_cases = st.integers(1, 12).flatmap(lambda p: st.tuples(
     st.just(p), st.integers(1, p), st.lists(st.permutations(range(p)),
-                                            min_size=1, max_size=8))))
+                                            min_size=1, max_size=8)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(covering_cases)
 def test_list_and_array_store_the_same_layout(case):
     p, k, perms = case
     rows = add_covering_windows([sorted(perm[:k]) for perm in perms], p, k)
@@ -162,3 +168,16 @@ def test_list_and_array_store_the_same_layout(case):
     assert np.array_equal(a.order, b.order)
     assert len(a.colors) == len(b.colors)
     assert all(np.array_equal(x, y) for x, y in zip(a.colors, b.colors))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(covering_cases, st.data())
+def test_omega_equals_the_full_gather_bit_for_bit(case, data):
+    p, k, perms = case
+    rows = add_covering_windows([sorted(perm[:k]) for perm in perms], p, k)
+    weights = data.draw(arrays(np.float64, len(rows),
+                               elements=st.floats(1e-3, 1e3)))
+    g = GroupStructure(rows, weights, p)
+    s = data.draw(arrays(np.float64, p, elements=st.floats(-1e6, 1e6)))
+    gathered = float(np.abs(s)[g.index_matrix].max(axis=1) @ g.weights)
+    assert omega_norm(s, g).hex() == gathered.hex()

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import empirical_cost, surrogate_cost
+from conftest import basis_sweep_loop, empirical_cost, surrogate_cost
 from modet.groups import build_grid_groups, omega_norm
 from modet.model import Frame, HyperParams, SeparationResult, SubspaceModel
 from modet.pipeline import SurrogateTracker
@@ -131,6 +131,36 @@ class TestBasisUpdate:
                 assert abs((after - before) - reported[k]) < 1e-8
                 k += 1
         assert np.allclose(L, m.basis)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 10),
+           st.integers(1, 3), st.floats(-4.0, 1.0), st.data())
+    def test_closed_form_sweep_matches_the_column_loop(self, p, r, frames,
+                                                       passes, log_lam, data):
+        def draw(shape, scale):
+            return scale * data.draw(arrays(np.float64, shape,
+                                            elements=st.floats(-1.0, 1.0)))
+
+        lam1 = 10.0 ** log_lam
+        Y = draw((r, frames), 10.0 ** data.draw(st.floats(-1.0, 2.0)))
+        m = SubspaceModel(basis=draw((p, r), 1.0), accA=Y @ Y.T,
+                          accB=draw((p, r), 10.0 ** data.draw(
+                              st.floats(-2.0, 2.0))),
+                          frames_seen=frames)
+        old = m.basis.copy()
+        ref, ref_deltas = basis_sweep_loop(m, lam1, passes)
+        _, deltas = update_basis(m, lam1, passes=passes, return_deltas=True)
+        # the loop adds each step to its column, so its rounding is relative
+        # to the larger of the old and the new basis (and absolute below the
+        # smallest normal float)
+        scale = max(np.abs(old).max(), np.abs(ref).max())
+        tiny = np.finfo(np.float64).tiny
+        assert np.abs(m.basis - ref).max() <= 1e-12 * scale + tiny
+        at_ii = np.tile(np.diag(m.accA) + lam1, passes)
+        assert deltas.shape == ref_deltas.shape == (passes * r,)
+        assert np.all(np.abs(deltas - ref_deltas)
+                      <= 1e-12 * (np.abs(ref_deltas) + at_ii * p * scale ** 2)
+                      + tiny)
 
     def test_foreground_absorbing_frame_shrinks_basis(self):
         rng = np.random.default_rng(7)
