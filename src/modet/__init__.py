@@ -26,10 +26,8 @@ from .model import (
     init_subspace,
 )
 from .pipeline import FrameOutput, RunSummary, process_frame, run_sequence
-from .prox import oracle_prox, project_l1_ball, structured_prox
 from .separation import ridge_solve, separate
 from .subspace import (
-    closed_form_basis,
     load_checkpoint,
     save_checkpoint,
     update_accumulators,
@@ -49,7 +47,6 @@ __all__ = [
     "SeparationResult",
     "SubspaceModel",
     "build_grid_groups",
-    "closed_form_basis",
     "connected_components",
     "default_hyperparams",
     "init_subspace",
@@ -58,14 +55,11 @@ __all__ = [
     "match_detections",
     "metrics_window",
     "omega_norm",
-    "oracle_prox",
     "process_frame",
-    "project_l1_ball",
     "ridge_solve",
     "run_sequence",
     "save_checkpoint",
     "separate",
-    "structured_prox",
     "threshold_mask",
     "update_accumulators",
     "update_basis",

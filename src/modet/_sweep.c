@@ -163,7 +163,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                 a[j] = fabs(v[j]);
                 l1 += a[j];
             }
-            int outside = rad != 0.0 && l1 > rad;
+            int outside = l1 > rad;
             if (outside) {
                 for (int64_t j = 0; j < width; j++) { /* insertion sort */
                     int64_t k = j;
@@ -182,9 +182,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             int saved = 0;
             for (int64_t j = 0; j < width; j++) {
                 double nw = v[j];
-                if (rad == 0.0) {
-                    nw = 0.0;
-                } else if (outside) {
+                if (outside) {
                     double m = a[j] - theta;
                     double sg = v[j] > 0.0 ? 1.0 : (v[j] < 0.0 ? -1.0 : 0.0);
                     nw = sg * (m > 0.0 ? m : 0.0);

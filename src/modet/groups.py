@@ -109,19 +109,23 @@ def build_grid_groups(H: int, W: int, k: int = 3) -> GroupStructure:
                           np.ones(origins.size), H * W, color_of=color_of)
 
 
-def omega_norm(s: np.ndarray, g: GroupStructure) -> float:
-    """Weighted sum over groups of the max absolute value inside each group.
+def group_max(a: np.ndarray, g: GroupStructure) -> np.ndarray:
+    """The max of ``a`` over each group's pixels, one entry per group.
 
-    The group maxima are a running maximum over the k columns of
-    ``g.index_matrix``, one n_groups-long gather at a time, rather than a
-    gather of the whole (n_groups, k) matrix.
+    A running maximum over the k columns of ``g.index_matrix``, one
+    n_groups-long gather at a time, rather than a gather of the whole
+    (n_groups, k) matrix; the maxima are the same.
     """
-    s = np.asarray(s, dtype=np.float64).ravel()
-    if s.size != g.p:
-        raise ValueError(f"vector length {s.size} != group domain {g.p}")
-    a = np.abs(s)
     cols = g.index_matrix.T
     m = a[cols[0]]
     for col in cols[1:]:
         np.maximum(m, a[col], out=m)
-    return float(m @ g.weights)
+    return m
+
+
+def omega_norm(s: np.ndarray, g: GroupStructure) -> float:
+    """Weighted sum over groups of the max absolute value inside each group."""
+    s = np.asarray(s, dtype=np.float64).ravel()
+    if s.size != g.p:
+        raise ValueError(f"vector length {s.size} != group domain {g.p}")
+    return float(group_max(np.abs(s), g) @ g.weights)

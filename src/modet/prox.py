@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import GroupStructure
+from .groups import GroupStructure, group_max
 
 log = logging.getLogger(__name__)
 
@@ -149,43 +149,13 @@ _sweep_c = _load_kernel()
 BACKEND = "c" if _sweep_c is not None else "numpy"
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Exact Euclidean projection of v onto the l1 ball of the given radius.
-
-    Sort-based threshold search; O(n log n), no iteration. With u the sorted
-    magnitudes, the rho largest entries are kept, rho being the number of k
-    with sum_{j<=k} (u_j - u_k) < radius; each becomes its height above u_rho
-    plus an equal share of what is left of the radius. Those sums are built
-    from the gaps between neighbours, not from a threshold near the entries,
-    so the result is accurate relative to the radius even when the radius
-    is far below the entries.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    v = np.asarray(v, dtype=np.float64)
-    if radius == 0.0:
-        return np.zeros_like(v)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    excess = np.cumsum(np.arange(u.size) * -np.diff(u, prepend=u[0]))
-    rho = int(np.count_nonzero(excess < radius))  # >= 1: excess[0] = 0
-    floor = u[rho - 1]
-    share = (radius - excess[rho - 1]) / rho
-    return np.sign(v) * np.where(a >= floor, a - floor + share, 0.0)
-
-
 def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
     """Row-wise l1-ball projection; ``radius`` is a scalar or per-row array."""
     radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (V.shape[0],))
     out = V.copy()
-    zero_rad = radius == 0.0
-    if zero_rad.any():
-        out[zero_rad] = 0.0
     A = np.abs(V)
     # a sequential sum, as _sweep.c adds: A.sum() would sum pairwise
-    outside = (np.cumsum(A, axis=1)[:, -1] > radius) & ~zero_rad
+    outside = np.cumsum(A, axis=1)[:, -1] > radius
     if not outside.any():
         return out
     Ao = A[outside]
@@ -266,7 +236,7 @@ def _c_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
 def _gap_stop(g, res, u, uu, radii, bound):
     """The stop test of a bounded call, as _sweep.c's gap_stop adds it."""
     d = u - res
-    gmax = np.abs(res[g.index_matrix]).max(axis=1)
+    gmax = group_max(np.abs(res), g)
     P = 0.5 * np.cumsum(d * d)[-1] + np.cumsum(radii * gmax)[-1]
     G = P - (0.5 * uu - 0.5 * np.cumsum(res * res)[-1])
     return P <= bound and G <= ETA * (bound - P)
@@ -310,53 +280,3 @@ def _colored_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
             since, at_step = 0, change
         last, ratio = change, r
     return sweeps, change
-
-
-def structured_prox(
-    u: np.ndarray,
-    g: GroupStructure,
-    lambda2: float,
-    tol: float = PROX_TOL,
-    max_iters: int = MAX_PROX_ITERS,
-) -> np.ndarray:
-    """Proximal map of lambda2 * Omega at u (primal solution only)."""
-    s, _, _, _ = structured_prox_dual(u, g, lambda2, tol=tol, max_iters=max_iters)
-    return s
-
-
-def oracle_prox(
-    u: np.ndarray,
-    g: GroupStructure,
-    lambda2: float,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-) -> np.ndarray:
-    """Independent desk-scale solver for the same prox, for verification.
-
-    Projected gradient on the dual with a slowly diminishing step, all groups
-    updated simultaneously (Jacobi), started from per-group projections of u
-    rather than from zero. Restricted to p <= 64 and at most 8 groups.
-    """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    if u.size != g.p:
-        raise ValueError(f"input length {u.size} != group domain {g.p}")
-    if g.p > 64 or g.n_groups > 8:
-        raise ValueError("oracle_prox is desk-scale only (p <= 64, <= 8 groups)")
-    if lambda2 <= 0:
-        raise ValueError("lambda2 must be positive")
-
-    radii = lambda2 * g.weights
-    idx = g.index_matrix
-    coverage = np.bincount(idx.ravel(), minlength=g.p)
-    base_step = 1.0 / float(coverage.max())
-
-    xi = _project_l1_rows(u[idx], radii)
-    for it in range(max_iters):
-        residual = u - _scatter_sum(xi, g)
-        step = base_step / (1.0 + it / 500.0)
-        new = _project_l1_rows(xi + step * residual[idx], radii)
-        change = float(np.abs(new - xi).max())
-        xi = new
-        if change <= tol:
-            break
-    return u - _scatter_sum(xi, g)

@@ -1,10 +1,11 @@
-"""Online subspace-basis maintenance, its closed-form oracle, checkpoints.
+"""Online subspace-basis maintenance and binary checkpoints.
 
 The basis minimizes a quadratic surrogate built from two running matrices:
 accA = sum of coefficient outer products, accB = sum of (frame - foreground)
 coefficient outer products. One column sweep of coordinate descent per frame
-keeps the work independent of how many frames have been seen; the closed-form
-solve accB @ (accA + lambda1 I)^-1 serves as the reference answer.
+keeps the work independent of how many frames have been seen; the tests
+hold the exact minimizer accB @ (accA + lambda1 I)^-1 as the reference the
+repeated sweeps approach.
 """
 
 from __future__ import annotations
@@ -38,58 +39,31 @@ def update_accumulators(
     return model
 
 
-def update_basis(
-    model: SubspaceModel,
-    lambda1: float,
-    passes: int = 1,
-    return_deltas: bool = False,
-):
-    """Column-wise coordinate descent on the surrogate objective (in place).
+def update_basis(model: SubspaceModel, lambda1: float) -> SubspaceModel:
+    """One column sweep of coordinate descent on the surrogate (in place).
 
     With At = accA + lambda1 I, each column step replaces column i by
     l_i + (accB[:,i] - L @ At[:,i]) / At[i,i], the exact minimizer of the
     quadratic tr(L^T L At) - 2 tr(L^T accB) over that column given the
-    others (updated columns are used immediately within a sweep).
+    others (updated columns are used immediately within a sweep). Step i
+    changes that quadratic by -At[i,i] * ||l'_i - l_i||^2 by exact algebra,
+    so the sweep never raises it.
 
     A sweep over the columns in order is one Gauss-Seidel step, so it is
     computed in closed form: the new basis solves L' triu(At) = accB -
     L tril(At, -1), i.e. L' = (accB - L tril(At, -1)) triu(At)^-1. That is
     two p x r x r matrix products and the inverse of an r x r triangle,
     whose diagonal is at least lambda1 > 0; it equals the column loop up
-    to rounding. ``passes`` repeats the sweep.
-
-    When ``return_deltas`` is set, also returns the per-column change of that
-    quadratic objective, which is -At[i,i] * ||l'_i - l_i||^2 by exact
-    algebra.
+    to rounding. Returns the same model object.
     """
     if lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
     L = model.basis
     At = model.accA + lambda1 * np.eye(model.rank)
-    lower = np.tril(At, -1)
-    inv_upper = np.linalg.inv(np.triu(At))
-    deltas = []
-    for _ in range(passes):
-        old = L.copy() if return_deltas else None
-        rhs = L @ lower
-        np.subtract(model.accB, rhs, out=rhs)
-        np.matmul(rhs, inv_upper, out=L)
-        if return_deltas:
-            step = L - old
-            deltas.extend(-np.diag(At) * (step * step).sum(axis=0))
-    if return_deltas:
-        return model, np.array(deltas)
+    rhs = L @ np.tril(At, -1)
+    np.subtract(model.accB, rhs, out=rhs)
+    np.matmul(rhs, np.linalg.inv(np.triu(At)), out=L)
     return model
-
-
-def closed_form_basis(model: SubspaceModel, lambda1: float) -> np.ndarray:
-    """Exact surrogate minimizer accB @ (accA + lambda1 I)^-1."""
-    if lambda1 <= 0:
-        raise ValueError("lambda1 must be positive")
-    At = model.accA + lambda1 * np.eye(model.rank)
-    return np.linalg.solve(At, model.accB.T).T
 
 
 def save_checkpoint(

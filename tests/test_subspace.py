@@ -6,13 +6,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import basis_sweep_loop, empirical_cost, surrogate_cost
+from conftest import (
+    basis_sweep_loop,
+    closed_form_basis,
+    empirical_cost,
+    surrogate_cost,
+)
 from modet.groups import build_grid_groups, omega_norm
 from modet.model import Frame, HyperParams, SeparationResult, SubspaceModel
 from modet.pipeline import SurrogateTracker
 from modet.separation import separate
 from modet.subspace import (
-    closed_form_basis,
     load_checkpoint,
     save_checkpoint,
     update_accumulators,
@@ -26,6 +30,19 @@ def fresh_model(p, r, rng=None, basis=None):
     return SubspaceModel(
         basis=basis, accA=np.zeros((r, r)), accB=np.zeros((p, r)), frames_seen=0
     )
+
+
+def sweep_deltas(m, lam1, passes):
+    """Runs ``passes`` sweeps of ``update_basis`` on ``m``; returns each
+    column step's change of the quadratic, -(accA[i,i] + lam1) *
+    ||l'_i - l_i||^2, in sweep order."""
+    deltas = []
+    for _ in range(passes):
+        old = m.basis.copy()
+        update_basis(m, lam1)
+        step = m.basis - old
+        deltas.extend(-(np.diag(m.accA) + lam1) * (step * step).sum(axis=0))
+    return np.array(deltas)
 
 
 def fake_result(coeffs, foreground, basis):
@@ -86,7 +103,7 @@ class TestBasisUpdate:
     def test_empty_accumulators_zero_the_basis(self):
         rng = np.random.default_rng(4)
         m = fresh_model(6, 2, rng)
-        update_basis(m, lambda1=0.7, passes=1)
+        update_basis(m, lambda1=0.7)
         assert np.abs(m.basis).max() < 1e-16  # zero up to one rounding of x*l/l
 
     def test_converges_to_closed_form(self):
@@ -97,7 +114,8 @@ class TestBasisUpdate:
         m.accB = rng.normal(size=(8, 3))
         m.frames_seen = 12
         ref = closed_form_basis(m, lambda1=0.5)
-        update_basis(m, lambda1=0.5, passes=50)
+        for _ in range(50):
+            update_basis(m, lambda1=0.5)
         assert np.abs(m.basis - ref).max() < 1e-8
 
     def test_per_column_descent_explicit_objective(self):
@@ -119,7 +137,7 @@ class TestBasisUpdate:
 
         # replay the column updates one at a time, evaluating the quadratic
         L = m.basis.copy()
-        reported = update_basis(m, lam1, passes=2, return_deltas=True)[1]
+        reported = sweep_deltas(m, lam1, passes=2)
         k = 0
         for _ in range(2):
             for i in range(3):
@@ -149,7 +167,7 @@ class TestBasisUpdate:
                           frames_seen=frames)
         old = m.basis.copy()
         ref, ref_deltas = basis_sweep_loop(m, lam1, passes)
-        _, deltas = update_basis(m, lam1, passes=passes, return_deltas=True)
+        deltas = sweep_deltas(m, lam1, passes)
         # the loop adds each step to its column, so its rounding is relative
         # to the larger of the old and the new basis (and absolute below the
         # smallest normal float)
@@ -169,7 +187,7 @@ class TestBasisUpdate:
         # foreground equals the frame, so accB stays zero
         update_accumulators(m, d, fake_result(rng.normal(size=2), d.pixels, m.basis))
         norm_before = np.linalg.norm(m.basis)
-        update_basis(m, lambda1=0.5, passes=1)
+        update_basis(m, lambda1=0.5)
         assert np.linalg.norm(m.basis) < norm_before
 
 
