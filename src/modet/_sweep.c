@@ -18,12 +18,10 @@
  * Bits are compared, not values, because a visit may turn +0.0 into -0.0.
  *
  * The tail of the sweeps converges geometrically, so after a sweep whose
- * change ratio r = change_k / change_{k-1} has settled (r < 1, within
- * ratio_tol of the previous ratio, at least wait sweeps since the last
- * step, and not the last sweep), the rows the sweep changed jump to the
- * limit of that geometric tail: x += r / (1 - r) * (x - prev), an Aitken
- * step. wait sweeps after a step, a change above the change at the step
- * disables the steps for the rest of the call. A call stops only after a
+ * change ratio r = change_k / change_{k-1} is below 1, at least wait plain
+ * sweeps since the last step and not the last sweep, the rows the sweep
+ * changed jump to the limit of that geometric tail:
+ * x += r / (1 - r) * (x - prev), an Aitken step. A call stops only after a
  * plain sweep, so it never returns an extrapolated state.
  *
  * A bounded call (bound not NaN) also stops after a plain sweep whose
@@ -106,15 +104,14 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
  * stores the last sweep's change, or returns -1 when the scratch cannot be
  * allocated. idx and xi are (n_order, width) row-major, order lists every
  * group once, and u is the prox input (read only by the gap test). A NaN
- * bound skips the gap test. wait and ratio_tol are the Aitken step's
- * constants.
+ * bound skips the gap test. wait is the Aitken step's constant.
  * The groups of one color are disjoint, so visiting them one at a time
  * gives what numpy's batched step over the color gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     int64_t n_order, double *xi, double *res, const double *u,
                     int64_t p, const double *radii, int64_t max_sweeps,
                     double tol, double bound, double eta, int64_t wait,
-                    double ratio_tol, double *change_out)
+                    double *change_out)
 {
     int64_t n = n_order * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
@@ -143,11 +140,10 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
     if (bounded)
         for (int64_t i = 0; i < p; i++) uu += u[i] * u[i];
 
-    /* Aitken state: the previous change and ratio, the sweeps since the
-     * last step, the change at that step (-1 before the first) */
-    double change = INFINITY, last = INFINITY, ratio = 0.0, at_step = -1.0;
+    /* Aitken state: the previous change, the plain sweeps since the last
+     * step */
+    double change = INFINITY, last = INFINITY;
     int64_t sweeps = 0, since = 0, n_changed;
-    int steps_on = 1;
     while (sweeps < max_sweeps) {
         sweeps++;
         change = 0.0;
@@ -204,9 +200,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
-        if (since == wait && at_step >= 0.0 && change > at_step) steps_on = 0;
-        if (steps_on && since >= wait && r < 1.0
-            && fabs(r - ratio) < ratio_tol * r && sweeps < max_sweeps) {
+        if (since >= wait && r < 1.0 && sweeps < max_sweeps) {
             double c = r / (1.0 - r);
             for (int64_t l = 0; l < n_changed; l++) {
                 int64_t g = changed[l];
@@ -217,10 +211,8 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                         idx[g * width + j], g, ptr, grp, dirty, stale);
             }
             since = 0;
-            at_step = change;
         }
         last = change;
-        ratio = r;
     }
     free(work);
     *change_out = change;

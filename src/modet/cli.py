@@ -72,27 +72,25 @@ def _parse_seg(text: str):
     return mode, value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return value
+def _number(kind, ok, what: str):
+    """An argparse type: ``kind(text)`` when ``ok`` holds for it, else a
+    usage error that says the value must be ``what``."""
+    def number(text: str):
+        value = kind(text)  # argparse reports a ValueError as an invalid value
+        if not ok(value):  # a NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return number
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}")
-    return value
-
-
-def _iou_thresh(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"IoU threshold must lie in (0, 1], got {text!r}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "positive")
+_nonnegative_int = _number(int, lambda v: v >= 0, "nonnegative")
+_positive_float = _number(float, lambda v: 0.0 < v < math.inf,
+                          "positive and finite")
+_nonnegative_float = _number(float, lambda v: 0.0 <= v < math.inf,
+                             "nonnegative and finite")
+_iou_thresh = _number(float, lambda v: 0.0 < v <= 1.0,
+                      "an IoU threshold in (0, 1]")
 
 
 def _frame_list(frames, shown=20) -> str:
@@ -107,6 +105,10 @@ def cmd_run(args) -> int:
     source = itertools.chain([first], source)
     height, width = first.height, first.width
     p = height * width
+    if args.rank > p:
+        raise argparse.ArgumentError(
+            None, f"--rank {args.rank} exceeds the {p} pixels of a "
+                  f"{height}x{width} frame")
 
     lambda1 = args.lambda1 if args.lambda1 is not None else 1.0 / math.sqrt(p)
     lambda2 = args.lambda2 if args.lambda2 is not None else 10.0 * lambda1
@@ -260,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--iou-thresh", type=_iou_thresh, default=0.3)
     run.add_argument("--seg", type=_parse_seg, default=("quantile", 0.995),
                      help="fixed:THETA or quantile:Q (default quantile:0.995)")
-    run.add_argument("--min-area", type=int, default=2,
+    run.add_argument("--min-area", type=_positive_int, default=2,
                      help="drop components below this pixel area")
     run.add_argument("--dump-frames", action="store_true",
                      help="write background/foreground PGMs per frame")
@@ -268,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic sequence")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--frames", type=int, default=500)
+    synth.add_argument("--frames", type=_positive_int, default=500)
     synth.add_argument("--size", type=_parse_size, default=(64, 64),
                        metavar="HxW")
-    synth.add_argument("--rank", type=int, default=2,
+    synth.add_argument("--rank", type=_positive_int, default=2,
                        help="true background rank")
-    synth.add_argument("--blobs", type=int, default=3)
-    synth.add_argument("--noise", type=float, default=0.01)
+    synth.add_argument("--blobs", type=_nonnegative_int, default=3)
+    synth.add_argument("--noise", type=_nonnegative_float, default=0.01)
     synth.add_argument("--seed", type=int, default=0)
     synth.set_defaults(func=cmd_synth)
 
@@ -288,11 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:  # a flag that does not fit the input
+        parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -183,8 +183,8 @@ def synth_sequence(spec: SynthSpec, seed: int):
         raise ValueError(f"blob size {spec.blob_max} exceeds frame extent")
     if not 0 <= spec.speed_min <= spec.speed_max:
         raise ValueError("speed range is invalid")
-    if spec.noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not (spec.noise_sigma >= 0 and math.isfinite(spec.noise_sigma)):
+        raise ValueError("noise_sigma must be nonnegative and finite")
 
     rng = np.random.default_rng(seed)
     k = spec.rank

@@ -21,15 +21,12 @@ visit would read and write the same bits. The numpy path visits every
 group; the skip leaves sweep counts, changes, dual states and foregrounds
 bit-identical.
 
-Both backends accelerate the geometric tail of the sweeps with a
-safeguarded Aitken step. After sweep k, with r = change_k / change_{k-1}:
-when r < 1, r is within ``_AITKEN_RATIO_TOL`` (relative) of the previous
-ratio, at least ``_AITKEN_WAIT`` sweeps ran since the last step and k is not
-the last sweep, every dual row that sweep k changed moves to
-x + r / (1 - r) * (x - x_before), and the residual follows. If the change
-``_AITKEN_WAIT`` sweeps after a step exceeds the change at the step, the
-steps stop for the rest of the call. Only a plain sweep can meet the stop
-test, so a call never returns an extrapolated state.
+Both backends accelerate the geometric tail of the sweeps with an Aitken
+step. After sweep k, with r = change_k / change_{k-1}: when r < 1, at least
+``_AITKEN_WAIT`` plain sweeps ran since the last step and k is not the last
+sweep, every dual row that sweep k changed moves to
+x + r / (1 - r) * (x - x_before), and the residual follows. Only a plain
+sweep can meet the stop test, so a call never returns an extrapolated state.
 
 A call given a ``bound`` on the primal value also stops after a plain sweep
 whose residual res (the primal candidate s) satisfies P(res) <= bound and
@@ -70,9 +67,8 @@ _SOURCE = Path(__file__).with_name("_sweep.c")
 # No -march=native: the cached library must stay portable. No FMA
 # contraction: a fused multiply-add rounds differently from numpy.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-# The Aitken step of the sweeps; both backends read these.
-_AITKEN_WAIT = 5
-_AITKEN_RATIO_TOL = 0.02
+# The plain sweeps between two Aitken steps; both backends read it.
+_AITKEN_WAIT = 3
 # The duality-gap stop of a bounded call: the gap's share of the decrease.
 ETA = 0.01
 # A call's budget: its stop on the largest dual change of a sweep, and its
@@ -139,7 +135,7 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, i64, f64, f64,
-                   f64, i64, f64, ptr]
+                   f64, i64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -227,7 +223,7 @@ def _c_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
                       g.order.size, xi.ctypes.data, res.ctypes.data,
                       u.ctypes.data, g.p, radii.ctypes.data, max_iters, tol,
                       np.nan if bound is None else bound, ETA, _AITKEN_WAIT,
-                      _AITKEN_RATIO_TOL, ctypes.byref(change))
+                      ctypes.byref(change))
     if sweeps < 0:
         raise MemoryError("the sweep kernel could not allocate its scratch")
     return sweeps, change.value
@@ -247,9 +243,9 @@ def _colored_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
     change = np.inf
     sweeps = 0
     uu = None if bound is None else np.cumsum(u * u)[-1]
-    # Aitken state, as in _sweep.c: the previous change and ratio, the
-    # sweeps since the last step, the change at that step (None before it)
-    last, ratio, since, at_step, steps_on = np.inf, 0.0, 0, None, True
+    # Aitken state, as in _sweep.c: the previous change, the plain sweeps
+    # since the last step
+    last, since = np.inf, 0
     for sweeps in range(1, max_iters + 1):
         prev = xi.copy()
         change = 0.0
@@ -265,11 +261,7 @@ def _colored_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
             break
         since += 1
         r = change / last if last > 0.0 else np.inf
-        if since == _AITKEN_WAIT and at_step is not None and change > at_step:
-            steps_on = False
-        if (steps_on and since >= _AITKEN_WAIT and r < 1.0
-                and abs(r - ratio) < _AITKEN_RATIO_TOL * r
-                and sweeps < max_iters):
+        if since >= _AITKEN_WAIT and r < 1.0 and sweeps < max_iters:
             # the rows this sweep changed, in the kernel's visit order
             moved = (xi.view(np.int64) != prev.view(np.int64)).any(axis=1)
             rows = g.order[moved[g.order]]
@@ -277,6 +269,6 @@ def _colored_sweeps(g, xi, res, u, radii, tol, max_iters, bound):
             new = x + r / (1.0 - r) * (x - prev[rows])
             np.subtract.at(res, g.index_matrix[rows].ravel(), (new - x).ravel())
             xi[rows] = new
-            since, at_step = 0, change
-        last, ratio = change, r
+            since = 0
+        last = change
     return sweeps, change

@@ -254,6 +254,7 @@ def test_run_reads_and_echoes_non_ascii_paths(small_sequence, tmp_path):
                                   ["--iou-thresh", "5"],
                                   ["--iou-thresh", "0"],
                                   ["--rank", "0"],
+                                  ["--rank", "257"],
                                   ["--lambda1", "-1"],
                                   ["--lambda2", "0"],
                                   ["--lambda2", "inf"],
@@ -264,6 +265,25 @@ def test_run_bad_value_is_usage_error(small_sequence, tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--input", str(small_sequence), "--out", str(out),
               "--gt", str(small_sequence / "gt.csv"), *flag])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["synth", "--frames", "0"],
+                                  ["synth", "--rank", "0"],
+                                  ["synth", "--blobs", "-1"],
+                                  ["synth", "--noise", "-1"],
+                                  ["synth", "--noise", "nan"],
+                                  ["synth", "--noise", "inf"],
+                                  ["run", "--min-area", "0"],
+                                  ["run", "--min-area", "-3"]])
+def test_bad_count_or_noise_is_usage_error(tmp_path, argv):
+    # a run that parsed would fail later, on its missing input, with exit 1
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        argv = [*argv, "--input", str(tmp_path / "missing")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
 

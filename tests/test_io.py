@@ -188,6 +188,11 @@ class TestSynthSequence:
         with pytest.raises(ValueError):
             synth_sequence(spec, seed=0)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            synth_sequence(SynthSpec(noise_sigma=noise), seed=0)
+
 
 class TestMetricsSink:
     def test_header_only(self, tmp_path):

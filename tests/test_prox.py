@@ -1,5 +1,7 @@
+import ctypes
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -383,6 +385,38 @@ def test_bounded_prox_stops_below_its_bound_near_the_optimum(case, frac):
         modet.prox._sweep_c = kernel
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_structures())
+def test_a_call_never_returns_an_extrapolated_state(case):
+    # tol=0 runs every call to its cap, so each cap from 1 to 30 ends the
+    # call on the sweep after, at or before an Aitken step. A plain sweep
+    # leaves each row in its l1 ball, the residual s = u - sum(xi), and the
+    # rows of the last color visited fixed by one more block step; an
+    # extrapolated state moves those rows off that fixed point
+    g, u, lam2 = case
+    radii = lam2 * g.weights
+    last = g.colors[-1]
+    kernel = modet.prox._sweep_c
+    try:
+        for max_iters in range(1, 31):
+            out = []
+            for backend in (kernel, None):  # C (when built), then numpy
+                modet.prox._sweep_c = backend
+                s, xi, _, _ = structured_prox_dual(u, g, lam2, tol=0.0,
+                                                   max_iters=max_iters)
+                assert (np.abs(xi).sum(axis=1) <= radii * (1 + 1e-12)).all()
+                scatter = np.zeros(g.p)
+                np.add.at(scatter, g.index_matrix.ravel(), xi.ravel())
+                assert np.abs(s - (u - scatter)).max() <= 1e-12
+                step = _project_l1_rows(s[g.index_matrix[last]] + xi[last],
+                                        radii[last])
+                assert np.abs(step - xi[last]).max() <= 1e-12
+                out.append((s.tobytes(), xi.tobytes()))
+            assert out[0] == out[-1]
+    finally:
+        modet.prox._sweep_c = kernel
+
+
 def test_underflowing_radii_project_onto_zeros(monkeypatch):
     # lambda2 * weight underflows to a radius of 0.0: the general projection
     # sends every dual row to (signed) zeros, so s is u, bit for bit, on
@@ -451,9 +485,9 @@ class TestBackends:
         u[::4] = -0.0
         cases.append((g, u, 0.05))
         # the extrapolation step fires on the 64x64 grids and on the random
-        # structures of 40 and 300 pixels above, and repeatedly on the
-        # blob; on the two sparse grids after it, it fires once, and five
-        # sweeps later the safeguard turns it off
+        # structures of 40 and 300 pixels above, and every third sweep on
+        # the blob; on the two sparse grids after it, a step is sometimes
+        # followed by a rising change, and the next step waits for it to fall
         cases.append((build_grid_groups(64, 64), gaussian_blob(), 0.16))
         for n, seed in ((12, 16), (16, 13)):
             r = np.random.default_rng(seed)
@@ -513,9 +547,9 @@ class TestBackends:
 
 # Runs a kernel library given on the command line against the numpy sweeps
 # on random structures of one group size each, cold and warm-started, where
-# the extrapolation step fires, and on two sparse grids where its safeguard
-# turns it off; each call without a bound and with the bound P(0), where
-# the gap test stops it.
+# the extrapolation step fires, and on two sparse grids where a step is
+# sometimes followed by a rising change; each call without a bound and with
+# the bound P(0), where the gap test stops it.
 ASAN_SCRIPT = """
 import ctypes, sys
 import numpy as np
@@ -583,6 +617,18 @@ class TestKernelBuild:
         assert run.returncode == 0, run.stderr[-4000:]
         assert (run.stdout.strip()
                 == "52 cases bit-identical, with and without a bound")
+
+    @needs_c
+    def test_kernel_argtypes_match_the_c_prototype(self):
+        # a stale signature can pass the other tests: an extra double goes
+        # into a register that the kernel never reads
+        params = re.search(r"^int64_t dual_sweeps\(([^)]*)\)",
+                           _SOURCE.read_text(), re.M).group(1).split(",")
+        kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+        expected = [ctypes.c_void_p if "*" in param
+                    else kinds[param.split()[0]] for param in params]
+        assert list(modet.prox._sweep_c.argtypes) == expected
+        assert modet.prox._sweep_c.restype is ctypes.c_int64
 
     def test_missing_compiler_falls_back(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="modet.prox"):
