@@ -1,9 +1,13 @@
 /* Dual block-coordinate sweeps of the structured prox (see prox.py).
  *
  * The groups are the rows of a dense index matrix of pixels in [0, p):
- * all have one width, res has p entries, and no entry is padding.
+ * all have one width, res has p entries, and no entry is padding. The
+ * caller passes the structure's pixel -> group index (CSR: the groups on
+ * pixel i are grp[ptr[i] .. ptr[i + 1]]), built once per structure.
  *
- * Visits the groups in the given color-major order and repeats, operation
+ * A call first sets res = u - sum_g xi_g, adding the xi entries into a
+ * zeroed res in index-matrix order, as np.bincount adds them. It then
+ * visits the groups in the given color-major order and repeats, operation
  * for operation, the floating-point arithmetic of prox._colored_sweeps:
  * a sequential row l1 sum, a descending sort (insertion sort: groups are
  * small windows), a sequential cumsum and rho = #{u_k * k > css_k - rad},
@@ -17,12 +21,11 @@
  * write the same bits back, so the skip changes nothing numpy computes.
  * Bits are compared, not values, because a visit may turn +0.0 into -0.0.
  *
- * The tail of the sweeps converges geometrically, so after a sweep whose
- * change ratio r = change_k / change_{k-1} is below 1, at least wait plain
- * sweeps since the last step and not the last sweep, the rows the sweep
- * changed jump to the limit of that geometric tail:
- * x += r / (1 - r) * (x - prev), an Aitken step. A call stops only after a
- * plain sweep, so it never returns an extrapolated state.
+ * After a plain sweep whose change ratio r = change_k / change_{k-1} is
+ * below 1, at least wait plain sweeps since the last step and not the last
+ * sweep, the rows the sweep changed jump to the limit of that geometric
+ * tail: x += r / (1 - r) * (x - prev), an Aitken step. A call stops only
+ * after a plain sweep, so it never returns an extrapolated state.
  *
  * A bounded call (bound not NaN) also stops after a plain sweep whose
  * residual res, the primal candidate, has P(res) <= bound and a duality
@@ -32,6 +35,9 @@
  * The second term of G is the dual objective at xi, which is feasible, so
  * G >= P(res) - P* >= 0: the candidate is below the bound, and its excess
  * over the optimum P* is at most eta times its margin below the bound.
+ * A bounded call given a previous foreground s (near not NaN) also stops
+ * after a plain sweep with P(res) <= bound and
+ * sqrt(sum_i (res_i - s_i)^2) <= near.
  * Each group's max is cached and recomputed only when put() has flagged it
  * stale since the last test.
  * prox._colored_sweeps repeats all of this operation for operation, the
@@ -41,6 +47,10 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* the per-group flags: the next visit may change something; the cached max
+ * is out of date */
+enum { DIRTY = 1, STALE = 2 };
 
 static int same_bits(double a, double b)
 {
@@ -52,16 +62,15 @@ static int same_bits(double a, double b)
  * Returns |nw - *x|. When nw has *x's bits nothing is written: the
  * difference is +0.0, and res -= +0.0 changes no bit. */
 static double put(double *x, double nw, double *res, int64_t i, int64_t g,
-                  const int64_t *ptr, const int64_t *grp, int8_t *dirty,
-                  int8_t *stale)
+                  const int64_t *ptr, const int32_t *grp, uint8_t *flags)
 {
     if (same_bits(nw, *x)) return 0.0;
-    dirty[g] = 1;
+    flags[g] |= DIRTY;
     double d = nw - *x, r = res[i] - d;
     if (!same_bits(r, res[i])) {
         res[i] = r;
         for (int64_t k = ptr[i]; k < ptr[i + 1]; k++)
-            dirty[grp[k]] = stale[grp[k]] = 1;
+            flags[grp[k]] = DIRTY | STALE;
     }
     *x = nw;
     return fabs(d);
@@ -73,7 +82,8 @@ static double put(double *x, double nw, double *res, int64_t i, int64_t g,
 static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
                     const double *res, const double *u, int64_t p,
                     const double *radii, double uu, double bound, double eta,
-                    double *gmax, int8_t *stale)
+                    const double *s, double near, double *gmax,
+                    uint8_t *flags)
 {
     double dd = 0.0, rr = 0.0, om = 0.0;
     for (int64_t i = 0; i < p; i++) {
@@ -82,7 +92,7 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
         rr += res[i] * res[i];
     }
     for (int64_t g = 0; g < n_groups; g++) {
-        if (stale[g]) {
+        if (flags[g] & STALE) {
             const int64_t *ix = idx + g * width;
             double m = 0.0;
             for (int64_t j = 0; j < width; j++) {
@@ -90,51 +100,57 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
                 m = a > m ? a : m;
             }
             gmax[g] = m;
-            stale[g] = 0;
+            flags[g] &= (uint8_t)~STALE;
         }
         om += radii[g] * gmax[g];
     }
     double P = 0.5 * dd + om;
+    if (!(P <= bound)) return 0;
     double G = P - (0.5 * uu - 0.5 * rr);
-    return P <= bound && G <= eta * (bound - P);
+    if (G <= eta * (bound - P)) return 1;
+    if (isnan(near)) return 0;
+    double ns = 0.0;
+    for (int64_t i = 0; i < p; i++) {
+        double e = res[i] - s[i];
+        ns += e * e;
+    }
+    return sqrt(ns) <= near;
 }
 
-/* Sweeps until the largest dual change of a sweep is <= tol, a bounded
- * call's gap test holds or max_sweeps ran; returns the sweeps run and
- * stores the last sweep's change, or returns -1 when the scratch cannot be
- * allocated. idx and xi are (n_order, width) row-major, order lists every
- * group once, and u is the prox input (read only by the gap test). A NaN
- * bound skips the gap test. wait is the Aitken step's constant.
+/* Sets res = u - sum_g xi_g, then sweeps until the largest dual change of a
+ * sweep is <= tol, a bounded call's stop test holds or max_sweeps ran;
+ * returns the sweeps run and stores the last sweep's change, or returns -1
+ * when the scratch cannot be allocated. idx and xi are (n_order, width)
+ * row-major, order lists every group once, ptr (p + 1 entries) and grp are
+ * the pixel -> group index, and u is the prox input. A NaN bound skips the
+ * stop test, and a NaN near its test against s. wait is the Aitken step's
+ * constant.
  * The groups of one color are disjoint, so visiting them one at a time
  * gives what numpy's batched step over the color gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
-                    int64_t n_order, double *xi, double *res, const double *u,
-                    int64_t p, const double *radii, int64_t max_sweeps,
-                    double tol, double bound, double eta, int64_t wait,
-                    double *change_out)
+                    int64_t n_order, const int64_t *ptr, const int32_t *grp,
+                    double *xi, double *res, const double *u, int64_t p,
+                    const double *radii, int64_t max_sweeps, double tol,
+                    double bound, double eta, const double *s, double near,
+                    int64_t wait, double *change_out)
 {
     int64_t n = n_order * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
-     * each group's cached max for the gap test; the pixel -> group CSR
-     * (the groups on pixel i are grp[ptr[i] .. ptr[i + 1]]); the changed
-     * groups; and per group a dirty flag and a stale-max flag */
+     * each group's cached max for the gap test; the changed groups; and the
+     * flags of each group */
     double *work = malloc((size_t)(4 * width + n + n_order) * sizeof(double)
-                          + (size_t)(p + 2 + n + n_order) * sizeof(int64_t)
-                          + (size_t)(2 * n_order));
+                          + (size_t)n_order * sizeof(int64_t)
+                          + (size_t)n_order);
     if (!work) return -1;
     double *v = work, *a = work + width, *srt = work + 2 * width;
     double *cs = work + 3 * width, *prev = work + 4 * width;
     double *gmax = prev + n;
-    int64_t *ptr = (int64_t *)(gmax + n_order), *grp = ptr + p + 2;
-    int64_t *changed = grp + n;
-    int8_t *dirty = (int8_t *)(changed + n_order), *stale = dirty + n_order;
-    /* CSR: count pixel i at ptr[i + 2], prefix-sum, then fill through
-     * ptr[i + 1], which leaves ptr[i] at pixel i's start */
-    memset(ptr, 0, (size_t)(p + 2) * sizeof *ptr);
-    for (int64_t e = 0; e < n; e++) ptr[idx[e] + 2]++;
-    for (int64_t i = 2; i < p + 2; i++) ptr[i] += ptr[i - 1];
-    for (int64_t e = 0; e < n; e++) grp[ptr[idx[e] + 1]++] = e / width;
-    memset(dirty, 1, (size_t)(2 * n_order)); /* and stale */
+    int64_t *changed = (int64_t *)(gmax + n_order);
+    uint8_t *flags = (uint8_t *)(changed + n_order);
+    memset(flags, DIRTY | STALE, (size_t)n_order);
+    memset(res, 0, (size_t)p * sizeof *res);
+    for (int64_t e = 0; e < n; e++) res[idx[e]] += xi[e];
+    for (int64_t i = 0; i < p; i++) res[i] = u[i] - res[i];
     int bounded = !isnan(bound);
     double uu = 0.0;
     if (bounded)
@@ -150,8 +166,8 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
         n_changed = 0;
         for (const int64_t *o = order; o < order + n_order; o++) {
             int64_t g = *o;
-            if (!dirty[g]) continue;
-            dirty[g] = 0;
+            if (!(flags[g] & DIRTY)) continue;
+            flags[g] &= (uint8_t)~DIRTY;
             const int64_t *ix = idx + g * width;
             double *x = xi + g * width, rad = radii[g], theta = 0.0, l1 = 0.0;
             for (int64_t j = 0; j < width; j++) {
@@ -189,14 +205,13 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     changed[n_changed++] = g;
                     saved = 1;
                 }
-                double d = put(x + j, nw, res, ix[j], g, ptr, grp, dirty,
-                               stale);
+                double d = put(x + j, nw, res, ix[j], g, ptr, grp, flags);
                 if (d > change) change = d;
             }
         }
         if (change <= tol) break;
         if (bounded && gap_stop(idx, width, n_order, res, u, p, radii, uu,
-                                bound, eta, gmax, stale))
+                                bound, eta, s, near, gmax, flags))
             break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
@@ -208,7 +223,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                 const double *x0 = prev + g * width;
                 for (int64_t j = 0; j < width; j++)
                     put(x + j, x[j] + c * (x[j] - x0[j]), res,
-                        idx[g * width + j], g, ptr, grp, dirty, stale);
+                        idx[g * width + j], g, ptr, grp, flags);
             }
             since = 0;
         }

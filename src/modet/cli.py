@@ -133,11 +133,14 @@ def cmd_run(args) -> int:
     total = MatchResult(tp=0, fp=0, fn=0)  # the run's summed match counts
     recent = deque(maxlen=5)  # the last 5 frames' matches
     capped = {}  # frame index -> prox calls that hit the sweep cap
+    rejected = {}  # frame index -> prox steps not taken
     exhausted = []  # frames whose separation ran out of iterations
 
     def evaluate(frame, sep):
         if sep.prox_capped:
             capped[frame.index] = sep.prox_capped
+        if sep.prox_rejected:
+            rejected[frame.index] = sep.prox_rejected
         if sep.final_delta > params.tau:
             exhausted.append(frame.index)
         mask = threshold_mask(sep.foreground, mode=seg_mode, value=seg_value)
@@ -184,6 +187,10 @@ def cmd_run(args) -> int:
                     "frames: %s", sum(capped.values()),
                     separation.MAX_PROX_ITERS, len(capped),
                     _frame_list(list(capped)))
+    if rejected:
+        log.warning("%d prox steps were not taken because they raised the "
+                    "frame cost, in %d frames: %s", sum(rejected.values()),
+                    len(rejected), _frame_list(list(rejected)))
     if exhausted:
         log.warning("%d frames stopped at the %d-iteration separation cap "
                     "with their change above tau: %s", len(exhausted),

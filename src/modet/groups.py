@@ -21,6 +21,9 @@ class GroupStructure:
     has one in closed form); without it a greedy coloring is computed.
     ``colors`` holds each class's groups in index order, and ``order``
     lists the groups color-major, the classes in sequence.
+    ``pixel_groups()`` gives the groups on each pixel; it is built at its
+    first call, the structure's first prox call on the C kernel, so that
+    building a structure does not pay for it.
     """
 
     def __init__(self, groups, weights, p: int, color_of=None):
@@ -70,6 +73,27 @@ class GroupStructure:
         self.order = np.argsort(color_of, kind="stable").astype(np.int64)
         self.colors = np.split(self.order,
                                np.cumsum(np.bincount(color_of))[:-1])
+        self._pixel_groups = None
+
+    def pixel_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The groups on each pixel as a read-only CSR index ``(ptr, grp)``.
+
+        The groups covering pixel i are ``grp[ptr[i]:ptr[i + 1]]``, in
+        ascending order; ``ptr`` (p + 1 entries) is int64 and ``grp`` int32.
+        Built at the first call and cached on the structure.
+        """
+        if self._pixel_groups is None:
+            flat = self.index_matrix.ravel()
+            ptr = np.zeros(self.p + 1, dtype=np.int64)
+            np.cumsum(np.bincount(flat, minlength=self.p), out=ptr[1:])
+            # a stable sort by pixel keeps each pixel's groups ascending
+            entries = np.argsort(flat, kind="stable")
+            entries //= self.index_matrix.shape[1]
+            grp = entries.astype(np.int32)
+            ptr.setflags(write=False)
+            grp.setflags(write=False)
+            self._pixel_groups = (ptr, grp)
+        return self._pixel_groups
 
     def _greedy_colors(self) -> np.ndarray:
         """Greedy coloring of the group-overlap graph, one label per group.

@@ -123,7 +123,8 @@ class SeparationResult:
     the dual sweeps of the frame's prox calls, one call per iteration;
     ``prox_capped`` counts the calls that hit
     ``modet.separation.MAX_PROX_ITERS`` with the dual change still above
-    ``modet.separation.PROX_TOL``.
+    ``modet.separation.PROX_TOL``, and ``prox_rejected`` the prox steps
+    not taken because they would have raised the frame cost.
     """
 
     coeffs: np.ndarray
@@ -134,3 +135,4 @@ class SeparationResult:
     objective_trace: list = field(default_factory=list)
     prox_sweeps: int = 0
     prox_capped: int = 0
+    prox_rejected: int = 0

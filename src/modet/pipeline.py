@@ -166,6 +166,7 @@ def run_sequence(
             "g_cost": out.g_cost,
             "prox_sweeps": out.separation.prox_sweeps,
             "prox_capped": out.separation.prox_capped,
+            "prox_rejected": out.separation.prox_rejected,
             "wall_ms": out.wall_time * 1e3,
         }
         if evaluator is not None:

@@ -64,8 +64,14 @@ def separate(
     structured prox. Each prox call gets as its bound the prox objective of
     the previous foreground at the new coefficients, so it stops once it
     has certified a descent of the cost (see ``modet.prox``), or on
-    ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. Stops when
-    max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or after
+    ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. Once a ridge step moves
+    the coefficients by at most tau * p (not on the first call), the call
+    also gets the previous foreground and the radius tau * p, and stops
+    once its foreground is below the bound and that close to the previous
+    one: the separation then ends on its own test. A prox step that would
+    raise the cost, which only a call stopped on ``PROX_TOL`` or on its cap
+    can return, is not taken: s stays, and ``prox_rejected`` counts it. Stops
+    when max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or after
     ``MAX_SEP_ITERS`` iterations; a final_delta above tau flags the latter
     for the caller.
     """
@@ -82,6 +88,8 @@ def separate(
         raise ValueError("inputs contain non-finite values")
 
     gram = L.T @ L + params.lambda1 * np.eye(L.shape[1])
+    # the ridge right-hand side L^T (pix - s), less L^T s over s's nonzeros
+    rhs_pix = L.T @ pix
 
     r = np.zeros(L.shape[1])
     s = np.zeros(p)
@@ -90,14 +98,19 @@ def separate(
     trace = []
     delta = np.inf
     iters = 0
-    sweeps_total = capped = 0
+    sweeps_total = capped = rejected = 0
     for iters in range(1, MAX_SEP_ITERS + 1):
-        r_new = np.linalg.solve(gram, L.T @ (pix - s))
+        nz = np.flatnonzero(s)
+        r_new = np.linalg.solve(gram, rhs_pix - L[nz].T @ s[nz])
         u = pix - L @ r_new
-        # the cost at (r_new, s) less its ridge term: the prox objective at
-        # s, which the prox step must not raise
-        bound = (frame_cost(u - s, r_new, penalty, params)
-                 - 0.5 * params.lambda1 * (r_new @ r_new))
+        # the cost at (r_new, s); less its ridge term, the prox objective
+        # at s, which the prox step must not raise
+        before = frame_cost(u - s, r_new, penalty, params)
+        bound = before - 0.5 * params.lambda1 * (r_new @ r_new)
+        dr = float(np.linalg.norm(r_new - r))
+        near = None
+        if iters > 1 and dr / p <= params.tau:
+            near = (s, params.tau * p)
         s_new, xi, sweeps, change = structured_prox_dual(
             u,
             g,
@@ -106,14 +119,16 @@ def separate(
             max_iters=MAX_PROX_ITERS,
             init=xi,
             bound=bound,
+            near=near,
         )
         sweeps_total += sweeps
         capped += int(sweeps >= MAX_PROX_ITERS and change > PROX_TOL)
         penalty_new = params.lambda2 * omega_norm(s_new, g)
         cost = frame_cost(u - s_new, r_new, penalty_new, params)
-        delta = max(
-            float(np.linalg.norm(r_new - r)), float(np.linalg.norm(s_new - s))
-        ) / p
+        if cost > before:
+            rejected += 1
+            s_new, penalty_new, cost = s, penalty, before
+        delta = max(dr, float(np.linalg.norm(s_new - s))) / p
         r, s, penalty = r_new, s_new, penalty_new
         trace.append(cost)
         if delta <= params.tau:
@@ -128,4 +143,5 @@ def separate(
         objective_trace=trace,
         prox_sweeps=sweeps_total,
         prox_capped=capped,
+        prox_rejected=rejected,
     )

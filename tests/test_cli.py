@@ -90,10 +90,13 @@ def test_run_on_synthetic_sequence(small_sequence, tmp_path, caplog):
     assert len(rows) == 30
     assert header[0] == "frame_index"
     # solver counters come before wall_ms, which stays last
-    assert header[-3:] == ["prox_sweeps", "prox_capped", "wall_ms"]
-    assert all(int(row[-3]) > 0 and int(row[-2]) >= 0 for row in rows)
-    # the capped-call warning appears exactly when the column counts one
-    assert ("sweep cap" in caplog.text) == any(int(row[-2]) for row in rows)
+    assert header[-4:] == ["prox_sweeps", "prox_capped", "prox_rejected",
+                           "wall_ms"]
+    assert all(int(row[-4]) > 0 and int(row[-3]) >= 0 and int(row[-2]) >= 0
+               for row in rows)
+    # each warning appears exactly when its column counts one
+    assert ("sweep cap" in caplog.text) == any(int(row[-3]) for row in rows)
+    assert ("not taken" in caplog.text) == any(int(row[-2]) for row in rows)
     assert (out / "model.ckpt").is_file()
     assert (out / "detections.csv").is_file()
     # detection columns populated when gt was given
@@ -103,7 +106,8 @@ def test_run_on_synthetic_sequence(small_sequence, tmp_path, caplog):
 
 def test_run_warns_once_about_capped_prox_calls(small_sequence, tmp_path,
                                                 monkeypatch, caplog):
-    # two sweeps per prox call: frames with a foreground hit the cap
+    # two sweeps per prox call: frames with a foreground hit the cap, and a
+    # capped call's step that would raise the cost is not taken
     monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 2)
     out = tmp_path / "out"
     with caplog.at_level(logging.WARNING, logger="modet.cli"):
@@ -111,14 +115,21 @@ def test_run_warns_once_about_capped_prox_calls(small_sequence, tmp_path,
                    "--rank", "4", "--downsample", "3"])
     assert rc == 0
     header, rows = read_rows(out / "metrics.csv")
-    col = header.index("prox_capped")
-    capped = {int(row[0]): int(row[col]) for row in rows if int(row[col])}
-    assert capped
+    counts = []
+    for name in ("prox_capped", "prox_rejected"):
+        col = header.index(name)
+        counts.append({int(row[0]): int(row[col]) for row in rows
+                       if int(row[col])})
+    capped, rejected = counts
+    assert capped and rejected
     warnings = [r.getMessage() for r in caplog.records
                 if r.name == "modet.cli" and r.levelno == logging.WARNING]
     assert warnings == [
         f"{sum(capped.values())} prox calls stopped at the 2-sweep cap, in "
-        f"{len(capped)} frames: " + " ".join(map(str, capped))]
+        f"{len(capped)} frames: " + " ".join(map(str, capped)),
+        f"{sum(rejected.values())} prox steps were not taken because they "
+        f"raised the frame cost, in {len(rejected)} frames: "
+        + " ".join(map(str, rejected))]
 
 
 def test_frame_list_names_the_first_twenty():

@@ -203,7 +203,7 @@ class TestMetricsSink:
         assert lines == [
             "frame_index,iters,final_delta,fg_energy,basis_delta,g_cost,"
             "recall5,precision5,f1_5,recall_acc,precision_acc,f1_acc,"
-            "prox_sweeps,prox_capped,wall_ms"
+            "prox_sweeps,prox_capped,prox_rejected,wall_ms"
         ]
 
     def test_rows_and_missing_fields(self, tmp_path):
