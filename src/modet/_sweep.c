@@ -11,7 +11,7 @@
  * for operation, the floating-point arithmetic of prox._colored_sweeps:
  * a sequential row l1 sum, a descending sort (insertion sort: groups are
  * small windows), a sequential cumsum and rho = #{u_k * k > css_k - rad},
- * at least 1.
+ * at least 1 (rad, every group's l1-ball radius, is the prox's lambda2).
  * Built with -ffp-contract=off so no multiply-add is fused; the results
  * are then bit-identical to numpy's.
  *
@@ -30,7 +30,7 @@
  * A bounded call (bound not NaN) also stops after a plain sweep whose
  * residual res, the primal candidate, has P(res) <= bound and a duality
  * gap G <= eta * (bound - P), where
- *   P = 0.5 * sum_i (u_i - res_i)^2 + sum_g radii[g] * max_{i in g} |res_i|,
+ *   P = 0.5 * sum_i (u_i - res_i)^2 + sum_g rad * max_{i in g} |res_i|,
  *   G = P - (0.5 * sum_i u_i^2 - 0.5 * sum_i res_i^2).
  * The second term of G is the dual objective at xi, which is feasible, so
  * G >= P(res) - P* >= 0: the candidate is below the bound, and its excess
@@ -81,7 +81,7 @@ static double put(double *x, double nw, double *res, int64_t i, int64_t g,
  * group flagged stale and clears its flag. */
 static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
                     const double *res, const double *u, int64_t p,
-                    const double *radii, double uu, double bound, double eta,
+                    double rad, double uu, double bound, double eta,
                     const double *s, double near, double *gmax,
                     uint8_t *flags)
 {
@@ -102,7 +102,7 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
             gmax[g] = m;
             flags[g] &= (uint8_t)~STALE;
         }
-        om += radii[g] * gmax[g];
+        om += rad * gmax[g];
     }
     double P = 0.5 * dd + om;
     if (!(P <= bound)) return 0;
@@ -130,7 +130,7 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
 int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
                     int64_t n_order, const int64_t *ptr, const int32_t *grp,
                     double *xi, double *res, const double *u, int64_t p,
-                    const double *radii, int64_t max_sweeps, double tol,
+                    double rad, int64_t max_sweeps, double tol,
                     double bound, double eta, const double *s, double near,
                     int64_t wait, double *change_out)
 {
@@ -169,7 +169,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             if (!(flags[g] & DIRTY)) continue;
             flags[g] &= (uint8_t)~DIRTY;
             const int64_t *ix = idx + g * width;
-            double *x = xi + g * width, rad = radii[g], theta = 0.0, l1 = 0.0;
+            double *x = xi + g * width, theta = 0.0, l1 = 0.0;
             for (int64_t j = 0; j < width; j++) {
                 v[j] = res[ix[j]] + x[j];
                 a[j] = fabs(v[j]);
@@ -210,7 +210,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             }
         }
         if (change <= tol) break;
-        if (bounded && gap_stop(idx, width, n_order, res, u, p, radii, uu,
+        if (bounded && gap_stop(idx, width, n_order, res, u, p, rad, uu,
                                 bound, eta, s, near, gmax, flags))
             break;
         since++;

@@ -24,6 +24,7 @@ from .detection import (
     threshold_mask,
     write_boxes_csv,
 )
+from .groups import WINDOW
 from .io import (
     MetricsSink,
     SynthSpec,
@@ -109,6 +110,9 @@ def cmd_run(args) -> int:
         raise argparse.ArgumentError(
             None, f"--rank {args.rank} exceeds the {p} pixels of a "
                   f"{height}x{width} frame")
+    if min(height, width) < WINDOW:
+        raise ValueError(f"the {height}x{width} frames are smaller than the "
+                         f"{WINDOW}x{WINDOW} window of the foreground penalty")
 
     lambda1 = args.lambda1 if args.lambda1 is not None else 1.0 / math.sqrt(p)
     lambda2 = args.lambda2 if args.lambda2 is not None else 10.0 * lambda1

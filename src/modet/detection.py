@@ -41,19 +41,18 @@ def threshold_mask(s: np.ndarray, mode: str = "fixed", value: float = 0.1):
     """Binary foreground mask from |s| by fixed or quantile threshold.
 
     ``mode="fixed"`` keeps entries with |s_i| >= value; ``mode="quantile"``
-    first sets the threshold to the value-quantile of |s|.
+    keeps the nonzero entries at or above the value-quantile of |s|, which
+    is 0.0 when few entries are nonzero.
     """
     s = np.asarray(s, dtype=np.float64).ravel()
     a = np.abs(s)
     if mode == "fixed":
-        theta = float(value)
-    elif mode == "quantile":
+        return a >= float(value)
+    if mode == "quantile":
         if not 0.0 < value < 1.0:
             raise ValueError("quantile must lie in (0, 1)")
-        theta = float(np.quantile(a, value))
-    else:
-        raise ValueError(f"unknown threshold mode {mode!r}")
-    return a >= theta
+        return (a >= np.quantile(a, value)) & (a > 0.0)
+    raise ValueError(f"unknown threshold mode {mode!r}")
 
 
 _OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1),

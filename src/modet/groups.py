@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-class GroupStructure:
-    """An ordered collection of overlapping pixel-index groups with weights.
+WINDOW = 3  # the side of LSD's square windows (Liu et al., IEEE TIP 2015)
 
-    The structured norm of a vector s is sum_g weight_g * max_i_in_g |s_i|.
+
+class GroupStructure:
+    """An ordered collection of overlapping pixel-index groups.
+
+    The structured norm of a vector s is sum_g max_i_in_g |s_i|.
     Groups must jointly cover every pixel index in [0, p) so the norm is
     positive definite.
 
@@ -26,7 +29,7 @@ class GroupStructure:
     building a structure does not pay for it.
     """
 
-    def __init__(self, groups, weights, p: int, color_of=None):
+    def __init__(self, groups, p: int, color_of=None):
         if p <= 0:
             raise ValueError("p must be positive")
         self.p = int(p)
@@ -38,12 +41,7 @@ class GroupStructure:
             raise ValueError("at least one nonempty group is required")
         if matrix is None or matrix.ndim != 2:
             raise ValueError("every group must have the same size")
-        self.weights = np.asarray(weights, dtype=np.float64)
         self.n_groups = matrix.shape[0]
-        if self.weights.shape != (self.n_groups,):
-            raise ValueError("one weight per group is required")
-        if np.any(self.weights <= 0):
-            raise ValueError("group weights must be positive")
 
         bad = ((matrix < 0) | (matrix >= self.p)).any(axis=1)
         if bad.any():
@@ -114,23 +112,24 @@ class GroupStructure:
         return color_of
 
 
-def build_grid_groups(H: int, W: int, k: int = 3) -> GroupStructure:
-    """Groups from a k x k window at every origin of an H x W frame.
+def build_grid_groups(H: int, W: int) -> GroupStructure:
+    """Groups from a k x k window, k = ``WINDOW``, at every origin of an
+    H x W frame.
 
-    All weights are 1.0. Windows whose origins agree modulo k never
-    overlap, so the color (row mod k, col mod k) of each origin is a proper
-    coloring, and it is the one the greedy coloring finds.
+    Windows whose origins agree modulo k never overlap, so the color
+    (row mod k, col mod k) of each origin is a proper coloring, and it is
+    the one the greedy coloring finds.
     """
-    if H <= 0 or W <= 0 or k <= 0:
-        raise ValueError("H, W and k must be positive")
-    if k > min(H, W):
-        raise ValueError(f"window k={k} exceeds frame extent {H}x{W}")
+    k = WINDOW
+    if H < k or W < k:
+        raise ValueError(f"a {H}x{W} frame is smaller than the {k}x{k} "
+                         "window")
     rows, cols = np.arange(H - k + 1), np.arange(W - k + 1)
     base = (np.arange(k)[:, None] * W + np.arange(k)[None, :]).ravel()
     origins = (rows[:, None] * W + cols[None, :]).ravel()
     color_of = ((rows[:, None] % k) * k + cols[None, :] % k).ravel()
-    return GroupStructure(origins[:, None] + base[None, :],
-                          np.ones(origins.size), H * W, color_of=color_of)
+    return GroupStructure(origins[:, None] + base[None, :], H * W,
+                          color_of=color_of)
 
 
 def group_max(a: np.ndarray, g: GroupStructure) -> np.ndarray:
@@ -148,8 +147,8 @@ def group_max(a: np.ndarray, g: GroupStructure) -> np.ndarray:
 
 
 def omega_norm(s: np.ndarray, g: GroupStructure) -> float:
-    """Weighted sum over groups of the max absolute value inside each group."""
+    """Sum over groups of the max absolute value inside each group."""
     s = np.asarray(s, dtype=np.float64).ravel()
     if s.size != g.p:
         raise ValueError(f"vector length {s.size} != group domain {g.p}")
-    return float(group_max(np.abs(s), g) @ g.weights)
+    return float(group_max(np.abs(s), g).sum())

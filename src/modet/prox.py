@@ -32,7 +32,7 @@ A call given a ``bound`` on the primal value also stops after a plain sweep
 whose residual res (the primal candidate s) satisfies P(res) <= bound and
 G <= ``ETA`` * (bound - P(res)), with
 
-    P(s) = 0.5 * ||u - s||^2 + lambda2 * Omega(s),
+    P(s) = 0.5 * ||u - s||^2 + sum_g lambda2 * max_{i in g} |s_i|,
     G    = P(res) - D(xi),   D(xi) = 0.5 * ||u||^2 - 0.5 * ||res||^2.
 
 D is the dual objective, and xi is dual feasible after every sweep, so
@@ -144,7 +144,7 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, i64, ptr, i64,
+    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, i64, f64, i64,
                    f64, f64, f64, ptr, f64, i64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
@@ -155,9 +155,8 @@ _sweep_c = _load_kernel()
 BACKEND = "c" if _sweep_c is not None else "numpy"
 
 
-def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
-    """Row-wise l1-ball projection; ``radius`` is a scalar or per-row array."""
-    radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (V.shape[0],))
+def _project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
+    """Row-wise projection onto the l1 ball of one radius."""
     out = V.copy()
     A = np.abs(V)
     # a sequential sum, as _sweep.c adds: A.sum() would sum pairwise
@@ -168,9 +167,8 @@ def _project_l1_rows(V: np.ndarray, radius) -> np.ndarray:
     U = -np.sort(-Ao, axis=1)
     css = np.cumsum(U, axis=1)
     ks = np.arange(1, V.shape[1] + 1)
-    rad = radius[outside]
-    rho = np.maximum((U * ks > css - rad[:, None]).sum(axis=1), 1)
-    theta = (css[np.arange(Ao.shape[0]), rho - 1] - rad) / rho
+    rho = np.maximum((U * ks > css - radius).sum(axis=1), 1)
+    theta = (css[np.arange(Ao.shape[0]), rho - 1] - radius) / rho
     out[outside] = np.sign(V[outside]) * np.maximum(Ao - theta[:, None], 0.0)
     return out
 
@@ -226,7 +224,6 @@ def structured_prox_dual(
             raise ValueError("near's radius must be nonnegative")
         near = (s_prev, radius)
 
-    radii = lambda2 * g.weights
     if init is not None:
         xi = np.array(init, dtype=np.float64, order="C")
         if xi.shape != g.index_matrix.shape:
@@ -235,12 +232,12 @@ def structured_prox_dual(
         xi = np.zeros(g.index_matrix.shape)
 
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
-    res, sweeps, change = sweep(g, xi, u, radii, tol, int(max_iters), bound,
-                                near)
+    res, sweeps, change = sweep(g, xi, u, float(lambda2), tol, int(max_iters),
+                                bound, near)
     return res, xi, int(sweeps), float(change)
 
 
-def _c_sweeps(g, xi, u, radii, tol, max_iters, bound, near):
+def _c_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p)
     ptr, grp = g.pixel_groups()
     s_prev, radius = (None, np.nan) if near is None else near
@@ -249,7 +246,7 @@ def _c_sweeps(g, xi, u, radii, tol, max_iters, bound, near):
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
                       g.order.size, ptr.ctypes.data, grp.ctypes.data,
                       xi.ctypes.data, res.ctypes.data, u.ctypes.data, g.p,
-                      radii.ctypes.data, max_iters, tol,
+                      rad, max_iters, tol,
                       np.nan if bound is None else bound, ETA,
                       None if s_prev is None else s_prev.ctypes.data, radius,
                       _AITKEN_WAIT, ctypes.byref(change))
@@ -258,11 +255,11 @@ def _c_sweeps(g, xi, u, radii, tol, max_iters, bound, near):
     return res, sweeps, change.value
 
 
-def _gap_stop(g, res, u, uu, radii, bound, near):
+def _gap_stop(g, res, u, uu, rad, bound, near):
     """The stop test of a bounded call, as _sweep.c's gap_stop adds it."""
     d = u - res
     gmax = group_max(np.abs(res), g)
-    P = 0.5 * np.cumsum(d * d)[-1] + np.cumsum(radii * gmax)[-1]
+    P = 0.5 * np.cumsum(d * d)[-1] + np.cumsum(rad * gmax)[-1]
     if not P <= bound:
         return False
     G = P - (0.5 * uu - 0.5 * np.cumsum(res * res)[-1])
@@ -274,9 +271,9 @@ def _gap_stop(g, res, u, uu, radii, bound, near):
     return np.sqrt(np.cumsum(e * e)[-1]) <= near[1]
 
 
-def _colored_sweeps(g, xi, u, radii, tol, max_iters, bound, near):
+def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
     res = u - _scatter_sum(xi, g)
-    steps = [(cls, g.index_matrix[cls], radii[cls]) for cls in g.colors]
+    steps = [(cls, g.index_matrix[cls]) for cls in g.colors]
     change = np.inf
     sweeps = 0
     uu = None if bound is None else np.cumsum(u * u)[-1]
@@ -286,7 +283,7 @@ def _colored_sweeps(g, xi, u, radii, tol, max_iters, bound, near):
     for sweeps in range(1, max_iters + 1):
         prev = xi.copy()
         change = 0.0
-        for cls, idx, rad in steps:
+        for cls, idx in steps:
             new = _project_l1_rows(res[idx] + xi[cls], rad)
             delta = new - xi[cls]
             change = max(change, float(np.abs(delta).max(initial=0.0)))
@@ -294,7 +291,7 @@ def _colored_sweeps(g, xi, u, radii, tol, max_iters, bound, near):
             xi[cls] = new
         if change <= tol:
             break
-        if bound is not None and _gap_stop(g, res, u, uu, radii, bound, near):
+        if bound is not None and _gap_stop(g, res, u, uu, rad, bound, near):
             break
         since += 1
         r = change / last if last > 0.0 else np.inf

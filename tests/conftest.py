@@ -80,16 +80,15 @@ def oracle_prox(
     if lambda2 <= 0:
         raise ValueError("lambda2 must be positive")
 
-    radii = lambda2 * g.weights
     idx = g.index_matrix
     coverage = np.bincount(idx.ravel(), minlength=g.p)
     base_step = 1.0 / float(coverage.max())
 
-    xi = _project_l1_rows(u[idx], radii)
+    xi = _project_l1_rows(u[idx], lambda2)
     for it in range(max_iters):
         residual = u - _scatter_sum(xi, g)
         step = base_step / (1.0 + it / 500.0)
-        new = _project_l1_rows(xi + step * residual[idx], radii)
+        new = _project_l1_rows(xi + step * residual[idx], lambda2)
         change = float(np.abs(new - xi).max())
         xi = new
         if change <= tol:

@@ -53,7 +53,7 @@ def covering_group_structure(H, W, extras, rng):
     origins = list(dict.fromkeys(origins))
     tile = (np.arange(3)[:, None] * W + np.arange(3)[None, :]).ravel()
     groups = [np.sort(tile + r * W + c) for r, c in origins]
-    return GroupStructure(groups, np.ones(len(groups)), H * W)
+    return GroupStructure(groups, H * W)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ def test_criterion_02_moreau_identity():
     worst = 0.0
     for _ in range(100):
         p = int(rng.integers(3, 30))
-        g = GroupStructure([list(range(p))], [1.0], p)
+        g = GroupStructure([list(range(p))], p)
         u = rng.normal(size=p)
         lam2 = float(rng.uniform(0.05, 2.0))
         s = structured_prox_dual(u, g, lam2)[0]

@@ -20,7 +20,7 @@ from modet.detection import (
     read_boxes_csv,
     write_boxes_csv,
 )
-from modet.model import HyperParams
+from modet.model import HyperParams, default_hyperparams
 
 
 def read_rows(path):
@@ -150,6 +150,31 @@ def test_run_echoes_default_lambda1(small_sequence, tmp_path):
     assert "lambda1=0.0625" in text
     _, rows = read_rows(out / "metrics.csv")
     assert len(rows) == 3  # frames 0, 10, 20
+
+
+def test_run_default_weights_are_default_hyperparams(small_sequence,
+                                                     tmp_path):
+    # the weights acceptance gate 10 checks are the ones a run uses
+    want = default_hyperparams(16 * 16)
+    runs = {(): (want.lambda1, want.lambda2), ("--lambda1", "0.2"): (0.2, 2.0)}
+    for i, (flags, (lambda1, lambda2)) in enumerate(runs.items()):
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--input", str(small_sequence), "--out", str(out),
+                     "--rank", "4", "--downsample", "15", *flags]) == 0
+        assert (f"# lambda1={lambda1!r} lambda2={lambda2!r} "
+                in (out / "metrics.csv").read_text())
+
+
+def test_run_on_frames_below_the_window_writes_nothing(tmp_path, capsys):
+    seq = tmp_path / "tiny"
+    assert main(["synth", "--out", str(seq), "--frames", "3", "--size", "2x2",
+                 "--rank", "1", "--blobs", "0"]) == 0
+    out = tmp_path / "out"
+    rc = main(["run", "--input", str(seq), "--out", str(out), "--rank", "1"])
+    assert rc == 1
+    assert ("error: the 2x2 frames are smaller than the 3x3 window"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_diagnostics_write_the_surrogate_cost(small_sequence, tmp_path):

@@ -31,6 +31,20 @@ class TestThresholdMask:
         mask = threshold_mask(s, mode="quantile", value=0.99)
         assert abs(int(mask.sum()) - 10) <= 1
 
+    def test_quantile_of_a_sparse_foreground_keeps_only_nonzeros(self):
+        # 10 nonzero pixels of 4096 put the 0.995-quantile at 0.0
+        s = np.zeros(64 * 64)
+        hit = np.random.default_rng(1).choice(s.size, 10, replace=False)
+        s[hit] = np.linspace(-0.5, 0.5, 11)[np.arange(11) != 5]
+        mask = threshold_mask(s, mode="quantile", value=0.995)
+        assert np.flatnonzero(mask).tolist() == sorted(hit.tolist())
+        assert len(connected_components(mask, 64, 64, min_area=1)) <= 10
+
+    def test_quantile_of_a_zero_foreground_is_empty(self):
+        mask = threshold_mask(np.zeros(64 * 64), mode="quantile", value=0.995)
+        assert not mask.any()
+        assert connected_components(mask, 64, 64) == []
+
     def test_bad_quantile(self):
         with pytest.raises(ValueError):
             threshold_mask(np.zeros(4), mode="quantile", value=1.5)

@@ -5,21 +5,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import add_covering_windows
-from modet.groups import GroupStructure, build_grid_groups, omega_norm
+from modet.groups import WINDOW, GroupStructure, build_grid_groups, omega_norm
 
 
-def naive_omega(s, groups, weights):
+def naive_omega(s, groups):
     total = 0.0
-    for g, w in zip(groups, weights):
+    for g in groups:
         best = 0.0
         for i in g:
             best = max(best, abs(s[i]))
-        total += w * best
+        total += best
     return total
 
 
 def test_grid_4x4_window3():
-    g = build_grid_groups(4, 4, k=3)
+    g = build_grid_groups(4, 4)
     assert g.n_groups == 4
     assert g.index_matrix.shape == (4, 9)
     origins = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -29,13 +29,13 @@ def test_grid_4x4_window3():
 
 
 def test_grid_3x3_single_window():
-    g = build_grid_groups(3, 3, k=3)
+    g = build_grid_groups(3, 3)
     assert g.n_groups == 1
     assert g.index_matrix.tolist() == [list(range(9))]
 
 
 def test_grid_5x4_count_and_coverage():
-    g = build_grid_groups(5, 4, k=3)
+    g = build_grid_groups(5, 4)
     assert g.n_groups == 6
     # brute-force coverage check
     hit = set()
@@ -45,21 +45,20 @@ def test_grid_5x4_count_and_coverage():
 
 
 def test_grid_window_too_large():
-    with pytest.raises(ValueError):
-        build_grid_groups(4, 2, k=3)
+    for H, W in ((4, 2), (2, 4), (0, 5)):
+        with pytest.raises(ValueError, match="smaller than the 3x3 window"):
+            build_grid_groups(H, W)
 
 
 def test_group_structure_validation():
     with pytest.raises(ValueError):
-        GroupStructure([[], []], [1.0, 1.0], 4)  # empty groups
+        GroupStructure([[], []], 4)  # empty groups
     with pytest.raises(ValueError):
-        GroupStructure([[0, 4]], [1.0], 4)  # out of range
+        GroupStructure([[0, 4]], 4)  # out of range
     with pytest.raises(ValueError):
-        GroupStructure([[1, 0, 2, 3]], [1.0], 4)  # not increasing
+        GroupStructure([[1, 0, 2, 3]], 4)  # not increasing
     with pytest.raises(ValueError):
-        GroupStructure([[0, 1]], [1.0], 4)  # pixel 2, 3 uncovered
-    with pytest.raises(ValueError):
-        GroupStructure([[0, 1, 2, 3]], [0.0], 4)  # nonpositive weight
+        GroupStructure([[0, 1]], 4)  # pixel 2, 3 uncovered
 
 
 def test_omega_zero_vector():
@@ -68,24 +67,24 @@ def test_omega_zero_vector():
 
 
 def test_omega_single_group_is_linf():
-    g = GroupStructure([list(range(9))], [1.0], 9)
+    g = GroupStructure([list(range(9))], 9)
     s = np.array([0.1, -0.7, 0.2, 0.0, 0.3, -0.2, 0.1, 0.0, 0.5])
     assert omega_norm(s, g) == pytest.approx(0.7, abs=0)
 
 
 def test_omega_matches_naive_double_loop():
     rng = np.random.default_rng(3)
-    g = build_grid_groups(4, 4, k=3)
+    g = build_grid_groups(4, 4)
     for _ in range(25):
         s = rng.uniform(-2, 2, 16)
         assert omega_norm(s, g) == pytest.approx(
-            naive_omega(s, g.index_matrix, g.weights), rel=1e-13
+            naive_omega(s, g.index_matrix), rel=1e-13
         )
 
 
 def test_omega_norm_properties():
     rng = np.random.default_rng(11)
-    g = build_grid_groups(5, 5, k=3)
+    g = build_grid_groups(5, 5)
     for _ in range(20):
         s1 = rng.uniform(-1, 1, 25)
         s2 = rng.uniform(-1, 1, 25)
@@ -96,11 +95,8 @@ def test_omega_norm_properties():
         )
         # triangle inequality
         assert omega_norm(s1 + s2, g) <= omega_norm(s1, g) + omega_norm(s2, g) + 1e-12
-        # dominates the largest weighted group max (full coverage positivity)
-        per_group = max(
-            w * np.abs(s1[grp]).max()
-            for grp, w in zip(g.index_matrix, g.weights)
-        )
+        # dominates the largest group max (full coverage positivity)
+        per_group = max(np.abs(s1[grp]).max() for grp in g.index_matrix)
         assert omega_norm(s1, g) >= per_group - 1e-15
     assert omega_norm(rng.uniform(0.5, 1.0, 25), g) > 0
 
@@ -112,7 +108,7 @@ def test_omega_length_mismatch():
 
 
 def test_color_classes_are_disjoint_partitions():
-    g = build_grid_groups(9, 7, k=3)
+    g = build_grid_groups(9, 7)
     seen = np.concatenate(g.colors)
     assert sorted(seen.tolist()) == list(range(g.n_groups))
     for cls in g.colors:
@@ -123,12 +119,15 @@ def test_color_classes_are_disjoint_partitions():
             used[grp] = True
 
 
-@pytest.mark.parametrize("H,W,k", [(3, 3, 3), (4, 4, 3), (5, 4, 3), (3, 11, 3),
-                                   (9, 7, 3), (10, 4, 2), (12, 13, 4),
-                                   (64, 64, 3)])
-def test_grid_coloring_equals_greedy(H, W, k):
-    g = build_grid_groups(H, W, k=k)
-    greedy = GroupStructure(g.index_matrix, g.weights, g.p)
+GRID_SHAPES = [(3, 3), (4, 4), (5, 4), (3, 11), (9, 7), (64, 64)]
+
+
+# the ids name the frame and the window side
+@pytest.mark.parametrize("H,W", GRID_SHAPES,
+                         ids=[f"{H}-{W}-{WINDOW}" for H, W in GRID_SHAPES])
+def test_grid_coloring_equals_greedy(H, W):
+    g = build_grid_groups(H, W)
+    greedy = GroupStructure(g.index_matrix, g.p)
     assert len(g.colors) == len(greedy.colors)
     for a, b in zip(g.colors, greedy.colors):
         assert np.array_equal(a, b)
@@ -137,16 +136,15 @@ def test_grid_coloring_equals_greedy(H, W, k):
 
 def test_given_coloring_must_be_proper():
     with pytest.raises(ValueError):
-        GroupStructure([[0, 1], [1, 2]], [1.0, 1.0], 3, color_of=[5, 5])
-    g = GroupStructure([[0, 1], [1, 2], [2, 3]], [1.0] * 3, 4,
-                       color_of=[7, 2, 7])
+        GroupStructure([[0, 1], [1, 2]], 3, color_of=[5, 5])
+    g = GroupStructure([[0, 1], [1, 2], [2, 3]], 4, color_of=[7, 2, 7])
     assert [c.tolist() for c in g.colors] == [[1], [0, 2]]
 
 
 def test_groups_of_unequal_size_are_rejected():
     for groups in ([[0, 1], [2]], [[0, 1, 2], [1, 2]], [0, 1, 2]):
         with pytest.raises(ValueError, match="same size"):
-            GroupStructure(groups, [1.0] * len(groups), 3)
+            GroupStructure(groups, 3)
 
 
 # (p, k, perms): the first k entries of each permutation of range(p) make a
@@ -161,8 +159,8 @@ covering_cases = st.integers(1, 12).flatmap(lambda p: st.tuples(
 def test_list_and_array_store_the_same_layout(case):
     p, k, perms = case
     rows = add_covering_windows([sorted(perm[:k]) for perm in perms], p, k)
-    a = GroupStructure(rows, np.ones(len(rows)), p)
-    b = GroupStructure(np.array(rows), np.ones(len(rows)), p)
+    a = GroupStructure(rows, p)
+    b = GroupStructure(np.array(rows), p)
     assert np.array_equal(a.index_matrix, rows)
     assert np.array_equal(b.index_matrix, rows)
     assert np.array_equal(a.order, b.order)
@@ -175,11 +173,9 @@ def test_list_and_array_store_the_same_layout(case):
 def test_omega_equals_the_full_gather_bit_for_bit(case, data):
     p, k, perms = case
     rows = add_covering_windows([sorted(perm[:k]) for perm in perms], p, k)
-    weights = data.draw(arrays(np.float64, len(rows),
-                               elements=st.floats(1e-3, 1e3)))
-    g = GroupStructure(rows, weights, p)
+    g = GroupStructure(rows, p)
     s = data.draw(arrays(np.float64, p, elements=st.floats(-1e6, 1e6)))
-    gathered = float(np.abs(s)[g.index_matrix].max(axis=1) @ g.weights)
+    gathered = float(np.abs(s)[g.index_matrix].max(axis=1).sum())
     assert omega_norm(s, g).hex() == gathered.hex()
 
 
@@ -188,8 +184,7 @@ def test_pixel_groups_lists_each_pixels_groups():
     rows = add_covering_windows(
         [sorted(rng.choice(30, 4, replace=False).tolist()) for _ in range(12)],
         30, 4)
-    for g in (build_grid_groups(5, 7), build_grid_groups(6, 6, k=2),
-              GroupStructure(rows, np.ones(len(rows)), 30)):
+    for g in (build_grid_groups(5, 7), GroupStructure(rows, 30)):
         ptr, grp = g.pixel_groups()
         assert ptr.dtype == np.int64 and grp.dtype == np.int32
         assert ptr.shape == (g.p + 1,) and grp.shape == (g.index_matrix.size,)
@@ -205,5 +200,5 @@ def test_pixel_groups_lists_each_pixels_groups():
 def test_building_a_structure_does_not_build_its_pixel_index():
     # the index is built at the first prox call, outside the set-up time
     assert build_grid_groups(16, 16)._pixel_groups is None
-    g = GroupStructure([[0, 1], [1, 2]], [1.0, 1.0], 3)
+    g = GroupStructure([[0, 1], [1, 2]], 3)
     assert g._pixel_groups is None

@@ -34,7 +34,7 @@ needs_c = pytest.mark.skipif(modet.prox._sweep_c is None,
 
 
 def two_group_structure():
-    return GroupStructure([np.arange(0, 6), np.arange(3, 9)], [1.0, 1.0], 9)
+    return GroupStructure([np.arange(0, 6), np.arange(3, 9)], 9)
 
 
 def primal_objective(u, s, g, lam2):
@@ -76,10 +76,8 @@ def small_structures(draw):
     perms = draw(st.lists(st.permutations(range(p)), min_size=1,
                           max_size=8 - -(-p // k)))
     groups = add_covering_windows([sorted(pm[:k]) for pm in perms], p, k)
-    weights = draw(st.lists(st.floats(0.5, 2.0), min_size=len(groups),
-                            max_size=len(groups)))
     u = draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
-    g = GroupStructure(groups, weights, p)
+    g = GroupStructure(groups, p)
     return g, np.array(u), draw(st.floats(0.05, 1.0))
 
 
@@ -88,7 +86,6 @@ def plain_bcd(u, g, lam2, tol, init=None, max_iters=100_000):
 
     Returns the foreground and the sweeps run.
     """
-    radii = lam2 * g.weights
     xi = np.zeros(g.index_matrix.shape) if init is None else init.copy()
     res = np.zeros(g.p)
     np.subtract.at(res, g.index_matrix.ravel(), xi.ravel())
@@ -97,7 +94,7 @@ def plain_bcd(u, g, lam2, tol, init=None, max_iters=100_000):
         change = 0.0
         for cls in g.colors:
             idx = g.index_matrix[cls]
-            new = _project_l1_rows(res[idx] + xi[cls], radii[cls])
+            new = _project_l1_rows(res[idx] + xi[cls], lam2)
             delta = new - xi[cls]
             change = max(change, float(np.abs(delta).max(initial=0.0)))
             res[idx] -= delta
@@ -162,7 +159,7 @@ class TestProjectL1Ball:
         assert np.abs(project_l1_ball(x, radius) - x).max() <= 1e-13 * radius
         if radius > 0.0:
             # u = prox(u) + projection(u) for the one-group norm
-            g = GroupStructure([np.arange(v.size)], [1.0], v.size)
+            g = GroupStructure([np.arange(v.size)], v.size)
             s = structured_prox_dual(v, g, radius)[0]
             assert np.abs(s + x - v).max() <= 1e-12 * max(1.0, radius)
 
@@ -170,11 +167,11 @@ class TestProjectL1Ball:
         rng = np.random.default_rng(1)
         V = rng.normal(size=(12, 5))
         V[3, 3:] = 0.0  # a row with trailing zeros
-        radii = rng.uniform(0.05, 2.0, size=12)
-        radii[5] = 0.0
-        out = _project_l1_rows(V, radii)
-        for i in range(12):
-            assert np.allclose(out[i], project_l1_ball(V[i], radii[i]), atol=1e-14)
+        for radius in rng.uniform(0.05, 2.0, size=4):
+            out = _project_l1_rows(V, radius)
+            for i in range(12):
+                assert np.allclose(out[i], project_l1_ball(V[i], radius),
+                                   atol=1e-14)
 
 
 class TestStructuredProx:
@@ -183,7 +180,7 @@ class TestStructuredProx:
         assert not structured_prox_dual(np.zeros(9), g, 0.5)[0].any()
 
     def test_full_shrinkage_single_group(self):
-        g = GroupStructure([list(range(9))], [1.0], 9)
+        g = GroupStructure([list(range(9))], 9)
         rng = np.random.default_rng(2)
         u = rng.uniform(-1, 1, 9)
         lam2 = np.abs(u).sum()  # ball contains u exactly at the boundary
@@ -204,7 +201,7 @@ class TestStructuredProx:
         # radius equal to that sum the row is inside the ball, s = 0
         rng = np.random.default_rng(14)
         for p in (9, 300):
-            g = GroupStructure([np.arange(p)], [1.0], p)
+            g = GroupStructure([np.arange(p)], p)
             a = np.zeros(p)
             while a.sum() <= sum(a.tolist()):
                 u = rng.normal(size=p)
@@ -213,7 +210,7 @@ class TestStructuredProx:
             assert not s.any()
 
     def test_moreau_identity_single_group(self):
-        g = GroupStructure([list(range(7))], [1.0], 7)
+        g = GroupStructure([list(range(7))], 7)
         rng = np.random.default_rng(4)
         for _ in range(20):
             u = rng.normal(size=7)
@@ -427,7 +424,6 @@ def test_a_call_never_returns_an_extrapolated_state(case):
     # rows of the last color visited fixed by one more block step; an
     # extrapolated state moves those rows off that fixed point
     g, u, lam2 = case
-    radii = lam2 * g.weights
     last = g.colors[-1]
     kernel = modet.prox._sweep_c
     try:
@@ -437,12 +433,12 @@ def test_a_call_never_returns_an_extrapolated_state(case):
                 modet.prox._sweep_c = backend
                 s, xi, _, _ = structured_prox_dual(u, g, lam2, tol=0.0,
                                                    max_iters=max_iters)
-                assert (np.abs(xi).sum(axis=1) <= radii * (1 + 1e-12)).all()
+                assert (np.abs(xi).sum(axis=1) <= lam2 * (1 + 1e-12)).all()
                 scatter = np.zeros(g.p)
                 np.add.at(scatter, g.index_matrix.ravel(), xi.ravel())
                 assert np.abs(s - (u - scatter)).max() <= 1e-12
                 step = _project_l1_rows(s[g.index_matrix[last]] + xi[last],
-                                        radii[last])
+                                        lam2)
                 assert np.abs(step - xi[last]).max() <= 1e-12
                 out.append((s.tobytes(), xi.tobytes()))
             assert out[0] == out[-1]
@@ -450,19 +446,17 @@ def test_a_call_never_returns_an_extrapolated_state(case):
         modet.prox._sweep_c = kernel
 
 
-def test_underflowing_radii_project_onto_zeros(monkeypatch):
-    # lambda2 * weight underflows to a radius of 0.0: the general projection
-    # sends every dual row to (signed) zeros, so s is u, bit for bit, on
-    # both backends
-    grid = build_grid_groups(8, 8)
-    g = GroupStructure(grid.index_matrix, np.full(grid.n_groups, 1e-200),
-                       grid.p)
-    assert not (1e-200 * g.weights).any()
+def test_smallest_positive_lambda2_projects_onto_zeros(monkeypatch):
+    # a radius below the rounding of every entry: no entry counts towards
+    # rho, which both backends clamp to 1, and the projection sends every
+    # dual row to (signed) zeros, so s is u, bit for bit, on both backends
+    g = build_grid_groups(8, 8)
+    lam2 = float(np.nextafter(0.0, 1.0))
     u = np.random.default_rng(15).normal(size=g.p)
-    c = prox_bytes(u, g, 1e-200)
+    c = prox_bytes(u, g, lam2)
     with monkeypatch.context() as m:
         m.setattr(modet.prox, "_sweep_c", None)
-        numpy = prox_bytes(u, g, 1e-200)
+        numpy = prox_bytes(u, g, lam2)
     assert c[0] == u.tobytes()
     assert c == numpy
 
@@ -471,8 +465,7 @@ def random_structure(rng, p, k):
     """Random groups of k pixels, plus k-wide windows over what they miss."""
     rows = [sorted(rng.choice(p, k, replace=False).tolist())
             for _ in range(int(rng.integers(1, 30)))]
-    rows = add_covering_windows(rows, p, k)
-    return GroupStructure(rows, rng.uniform(0.5, 2.0, len(rows)), p)
+    return GroupStructure(add_covering_windows(rows, p, k), p)
 
 
 def prox_bytes(*args, **kw):
@@ -505,11 +498,11 @@ class TestBackends:
             while a.sum() == sum(a.tolist()):
                 u = rng.normal(size=p)
                 a = np.abs(u)
-            cases.append((GroupStructure([np.arange(p)], [1.0], p), u,
+            cases.append((GroupStructure([np.arange(p)], p), u,
                           min(a.sum(), sum(a.tolist()))))
         # a radius below the rounding of the largest entry: no entry counts
         # towards rho, and both backends clamp it to 1
-        cases.append((GroupStructure([np.arange(3)], [1.0], 3),
+        cases.append((GroupStructure([np.arange(3)], 3),
                        np.array([1.0, -0.5, 0.0]), 1e-17))
         # signed zeros: -0.0 inputs, and small negative entries that the
         # projection shrinks to -0.0
@@ -624,7 +617,7 @@ for case in range(50):
     rows = add_covering_windows(
         [sorted(rng.choice(p, k, replace=False).tolist())
          for _ in range(int(rng.integers(1, 20)))], p, k)
-    g = GroupStructure(rows, rng.uniform(0.5, 2.0, len(rows)), p)
+    g = GroupStructure(rows, p)
     cases.append((g, rng.normal(size=p) * (rng.random(p) < 0.7),
                   float(rng.uniform(0.05, 1.0)), 40))
 for n, seed in ((12, 16), (16, 13)):
@@ -752,25 +745,25 @@ class TestKernelBuild:
 
 class TestOracleProx:
     def test_single_group_moreau(self):
-        g = GroupStructure([list(range(6))], [1.0], 6)
+        g = GroupStructure([list(range(6))], 6)
         rng = np.random.default_rng(12)
         u = rng.normal(size=6)
         ref = u - project_l1_ball(u, 0.7)
         assert np.abs(oracle_prox(u, g, 0.7) - ref).max() < 1e-7
 
     def test_hand_worked_two_pixel_case(self):
-        g = GroupStructure([[0, 1]], [1.0], 2)
+        g = GroupStructure([[0, 1]], 2)
         s = oracle_prox(np.array([1.0, 1.0]), g, 0.5)
         # l1 projection of (1,1) to radius 0.5 is (0.25,0.25)
         assert np.allclose(s, [0.75, 0.75], atol=1e-7)
 
     def test_disjoint_groups_separable(self):
-        g = GroupStructure([[0, 1, 2], [3, 4, 5]], [1.0, 1.0], 6)
+        g = GroupStructure([[0, 1, 2], [3, 4, 5]], 6)
         rng = np.random.default_rng(13)
         u = rng.normal(size=6)
         s = oracle_prox(u, g, 0.4)
         for block in (slice(0, 3), slice(3, 6)):
-            sub = GroupStructure([[0, 1, 2]], [1.0], 3)
+            sub = GroupStructure([[0, 1, 2]], 3)
             assert np.abs(s[block] - oracle_prox(u[block], sub, 0.4)).max() < 1e-7
 
     def test_desk_scale_limits(self):
