@@ -7,8 +7,8 @@
  *
  * A call first sets res = u - sum_g xi_g, adding the xi entries into a
  * zeroed res in index-matrix order, as np.bincount adds them. It then
- * visits the groups in the given color-major order and repeats, operation
- * for operation, the floating-point arithmetic of prox._colored_sweeps:
+ * visits the groups in index order and repeats, operation for operation,
+ * the floating-point arithmetic of prox._colored_sweeps:
  * a sequential row l1 sum, a descending sort (insertion sort: groups are
  * small windows), a sequential cumsum and rho = #{u_k * k > css_k - rad},
  * at least 1 (rad, every group's l1-ball radius, is the prox's lambda2).
@@ -120,34 +120,33 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
 /* Sets res = u - sum_g xi_g, then sweeps until the largest dual change of a
  * sweep is <= tol, a bounded call's stop test holds or max_sweeps ran;
  * returns the sweeps run and stores the last sweep's change, or returns -1
- * when the scratch cannot be allocated. idx and xi are (n_order, width)
- * row-major, order lists every group once, ptr (p + 1 entries) and grp are
- * the pixel -> group index, and u is the prox input. A NaN bound skips the
- * stop test, and a NaN near its test against s. wait is the Aitken step's
- * constant.
- * The groups of one color are disjoint, so visiting them one at a time
- * gives what numpy's batched step over the color gives. */
-int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
-                    int64_t n_order, const int64_t *ptr, const int32_t *grp,
+ * when the scratch cannot be allocated. idx and xi are (n_groups, width)
+ * row-major, ptr (p + 1 entries) and grp are the pixel -> group index, and
+ * u is the prox input. A NaN bound skips the stop test, and a NaN near its
+ * test against s. wait is the Aitken step's constant.
+ * The groups of one color class, a run of rows, are disjoint, so visiting
+ * them one at a time gives what numpy's batched step over the class gives. */
+int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
+                    const int64_t *ptr, const int32_t *grp,
                     double *xi, double *res, const double *u, int64_t p,
                     double rad, int64_t max_sweeps, double tol,
                     double bound, double eta, const double *s, double near,
                     int64_t wait, double *change_out)
 {
-    int64_t n = n_order * width;
+    int64_t n = n_groups * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
      * each group's cached max for the gap test; the changed groups; and the
      * flags of each group */
-    double *work = malloc((size_t)(4 * width + n + n_order) * sizeof(double)
-                          + (size_t)n_order * sizeof(int64_t)
-                          + (size_t)n_order);
+    double *work = malloc((size_t)(4 * width + n + n_groups) * sizeof(double)
+                          + (size_t)n_groups * sizeof(int64_t)
+                          + (size_t)n_groups);
     if (!work) return -1;
     double *v = work, *a = work + width, *srt = work + 2 * width;
     double *cs = work + 3 * width, *prev = work + 4 * width;
     double *gmax = prev + n;
-    int64_t *changed = (int64_t *)(gmax + n_order);
-    uint8_t *flags = (uint8_t *)(changed + n_order);
-    memset(flags, DIRTY | STALE, (size_t)n_order);
+    int64_t *changed = (int64_t *)(gmax + n_groups);
+    uint8_t *flags = (uint8_t *)(changed + n_groups);
+    memset(flags, DIRTY | STALE, (size_t)n_groups);
     memset(res, 0, (size_t)p * sizeof *res);
     for (int64_t e = 0; e < n; e++) res[idx[e]] += xi[e];
     for (int64_t i = 0; i < p; i++) res[i] = u[i] - res[i];
@@ -164,10 +163,11 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
         sweeps++;
         change = 0.0;
         n_changed = 0;
-        for (const int64_t *o = order; o < order + n_order; o++) {
-            int64_t g = *o;
-            if (!(flags[g] & DIRTY)) continue;
-            flags[g] &= (uint8_t)~DIRTY;
+        /* a pointer walk: gcc 12 makes an index loop's skip much slower */
+        for (uint8_t *f = flags; f < flags + n_groups; f++) {
+            if (!(*f & DIRTY)) continue;
+            *f &= (uint8_t)~DIRTY;
+            int64_t g = f - flags;
             const int64_t *ix = idx + g * width;
             double *x = xi + g * width, theta = 0.0, l1 = 0.0;
             for (int64_t j = 0; j < width; j++) {
@@ -210,7 +210,7 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, const int64_t *order,
             }
         }
         if (change <= tol) break;
-        if (bounded && gap_stop(idx, width, n_order, res, u, p, rad, uu,
+        if (bounded && gap_stop(idx, width, n_groups, res, u, p, rad, uu,
                                 bound, eta, s, near, gmax, flags))
             break;
         since++;

@@ -70,6 +70,10 @@ def _parse_seg(text: str):
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"threshold must be finite, got {text!r}")
+    if mode == "fixed" and value <= 0.0:
+        # |s| >= THETA would hold at every pixel
+        raise argparse.ArgumentTypeError(
+            f"threshold must be positive, got {text!r}")
     return mode, value
 
 
@@ -123,8 +127,10 @@ def cmd_run(args) -> int:
     log.info("prox backend: %s", prox.BACKEND)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "model.ckpt"
+    if ckpt.parent != out and not ckpt.parent.is_dir():
+        raise ValueError(f"no directory {ckpt.parent} for the checkpoint")
+    out.mkdir(parents=True, exist_ok=True)
     comments = [
         f"input={args.input}",
         f"height={height} width={width} rank={params.rank}",
@@ -228,16 +234,16 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     dets = read_boxes_csv(args.dets)
     gt = read_boxes_csv(args.gt)
-    indices = set(dets) | set(gt)
+    indices = sorted(set(dets) | set(gt))
     if not indices:
         print(",".join(["0.0"] * 6))
         return 0
-    history = [
-        match_detections(dets.get(i, []), gt.get(i, []), thresh=args.iou_thresh)
-        for i in range(max(indices) + 1)
-    ]
-    ra, pa, fa = metrics_window(history, mode="accumulated")
-    rk, pk, fk = metrics_window(history, mode="last_k", k=args.window)
+    # a frame in neither file adds nothing to the sums: score only the rest
+    history = {i: match_detections(dets.get(i, []), gt.get(i, []),
+                                   thresh=args.iou_thresh) for i in indices}
+    ra, pa, fa = metrics_window(list(history.values()))
+    rk, pk, fk = metrics_window([m for i, m in history.items()
+                                 if i > indices[-1] - args.window])
     print(",".join(repr(v) for v in (ra, pa, fa, rk, pk, fk)))
     return 0
 

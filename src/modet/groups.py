@@ -17,13 +17,12 @@ class GroupStructure:
 
     ``groups`` is a list of equal-length index sequences or a 2-D integer
     array, one group per row; every group has the same size k. It is stored
-    as one dense ``(n_groups, k)`` ``index_matrix`` and partitioned into
-    color classes of pairwise-disjoint groups, which lets block-coordinate
-    sweeps over the dual run one color at a time. ``color_of``, one label
-    per group, gives a known proper coloring (the builder of a regular grid
-    has one in closed form); without it a greedy coloring is computed.
-    ``colors`` holds each class's groups in index order, and ``order``
-    lists the groups color-major, the classes in sequence.
+    as one dense ``(n_groups, k)`` ``index_matrix``, and the dual sweeps of
+    the prox visit the groups in that index order. ``color_of``, one label
+    per group, nonnegative and non-decreasing, groups the rows into color
+    classes of pairwise-disjoint groups, listed color by color; a batched
+    sweep then runs one class at a time. Without it each group is a class
+    of its own. ``colors`` holds each class as a slice of the rows.
     ``pixel_groups()`` gives the groups on each pixel; it is built at its
     first call, the structure's first prox call on the C kernel, so that
     building a structure does not pay for it.
@@ -58,19 +57,21 @@ class GroupStructure:
         self.index_matrix = matrix
 
         if color_of is None:
-            color_of = self._greedy_colors()
+            self.colors = [slice(i, i + 1) for i in range(self.n_groups)]
         else:
             color_of = np.asarray(color_of)
             if color_of.shape != (self.n_groups,):
                 raise ValueError("one color label per group is required")
-            _, color_of = np.unique(color_of, return_inverse=True)
-            # proper: no pixel is covered twice by groups of one color
-            slots = (color_of[:, None] * self.p + matrix).ravel()
-            if (np.bincount(slots) > 1).any():
+            step = np.diff(color_of)
+            if color_of[0] < 0 or (step < 0).any():
+                raise ValueError("color labels must be nonnegative and "
+                                 "non-decreasing: groups color by color")
+            cuts = [0, *(np.flatnonzero(step) + 1).tolist(), self.n_groups]
+            self.colors = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+            # proper: no pixel is covered twice by groups of one class
+            if any((np.bincount(matrix[c].ravel()) > 1).any()
+                   for c in self.colors):
                 raise ValueError("groups of one color must be disjoint")
-        self.order = np.argsort(color_of, kind="stable").astype(np.int64)
-        self.colors = np.split(self.order,
-                               np.cumsum(np.bincount(color_of))[:-1])
         self._pixel_groups = None
 
     def pixel_groups(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,42 +94,24 @@ class GroupStructure:
             self._pixel_groups = (ptr, grp)
         return self._pixel_groups
 
-    def _greedy_colors(self) -> np.ndarray:
-        """Greedy coloring of the group-overlap graph, one label per group.
-
-        Groups sharing a pixel get different colors: each group takes the
-        smallest color no earlier group on its pixels holds.
-        """
-        pixel_owner = [[] for _ in range(self.p)]
-        color_of = np.full(self.n_groups, -1, dtype=np.int64)
-        for i, row in enumerate(self.index_matrix.tolist()):
-            taken = {color_of[j] for px in row for j in pixel_owner[px]}
-            c = 0
-            while c in taken:
-                c += 1
-            color_of[i] = c
-            for px in row:
-                pixel_owner[px].append(i)
-        return color_of
-
 
 def build_grid_groups(H: int, W: int) -> GroupStructure:
     """Groups from a k x k window, k = ``WINDOW``, at every origin of an
     H x W frame.
 
     Windows whose origins agree modulo k never overlap, so the color
-    (row mod k, col mod k) of each origin is a proper coloring, and it is
-    the one the greedy coloring finds.
+    (row mod k, col mod k) of each origin is a proper coloring. The windows
+    are stored color by color, in that order, and each class in raster order.
     """
     k = WINDOW
     if H < k or W < k:
         raise ValueError(f"a {H}x{W} frame is smaller than the {k}x{k} "
                          "window")
-    rows, cols = np.arange(H - k + 1), np.arange(W - k + 1)
-    base = (np.arange(k)[:, None] * W + np.arange(k)[None, :]).ravel()
-    origins = (rows[:, None] * W + cols[None, :]).ravel()
-    color_of = ((rows[:, None] % k) * k + cols[None, :] % k).ravel()
-    return GroupStructure(origins[:, None] + base[None, :], H * W,
+    origins = np.arange(H - k + 1)[:, None] * W + np.arange(W - k + 1)
+    blocks = [origins[a::k, b::k].ravel() for a in range(k) for b in range(k)]
+    base = (np.arange(k)[:, None] * W + np.arange(k)).ravel()
+    color_of = np.repeat(np.arange(k * k), [b.size for b in blocks])
+    return GroupStructure(np.concatenate(blocks)[:, None] + base, H * W,
                           color_of=color_of)
 
 

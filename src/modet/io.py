@@ -118,7 +118,8 @@ def iter_sequence(path):
 
     A directory is read through its manifest.txt when present, otherwise by
     sorted *.pgm glob; a manifest file lists one relative filename per line.
-    Frame indices are positions in the listing.
+    Frame indices are positions in the listing. A frame that cannot be
+    decoded raises with its path.
     """
     path = Path(path)
     if (path / "manifest.txt").is_file():
@@ -135,7 +136,11 @@ def iter_sequence(path):
     if not names:
         raise ValueError(f"{path}: empty sequence")
     for i, name in enumerate(names):
-        yield read_frame_pgm((base / name).read_bytes(), index=i)
+        try:
+            frame = read_frame_pgm((base / name).read_bytes(), index=i)
+        except ValueError as exc:
+            raise ValueError(f"{base / name}: {exc}") from None
+        yield frame
 
 
 @dataclass

@@ -135,7 +135,8 @@ def run_sequence(
     sink; ``evaluator(frame, separation)``, when given, may return extra
     fields to merge in (detection scores, typically). Group
     structure, hyperparameters and the model are created lazily from the
-    first frame's shape. Returns run totals plus the final model.
+    first frame's shape; a later frame of another shape raises. Returns
+    run totals plus the final model.
     """
     if downsample < 1:
         raise ValueError("downsample factor must be >= 1")
@@ -154,6 +155,10 @@ def run_sequence(
                 params = default_hyperparams(height * width)
             groups = build_grid_groups(height, width)
             model = init_subspace(height * width, params, seed)
+        elif (frame.height, frame.width) != (height, width):
+            raise ValueError(f"frame {frame.index} is {frame.height}x"
+                             f"{frame.width}, but the first frame is "
+                             f"{height}x{width}")
         model, out = process_frame(model, frame, groups, params, tracker)
         processed += 1
         wall_total += out.wall_time

@@ -6,11 +6,12 @@ the shared residual u - sum_g xi_g. Block coordinate descent over the groups
 is exact per block (a Euclidean l1-ball projection); the primal solution is
 that residual, s = u - sum_g xi_g, which the sweeps keep up to date.
 
-A sweep visits the groups color-major: the color classes in sequence, the
-groups of one color in index order. Two backends run that one schedule: a
-small C kernel (``_sweep.c``), compiled with the system ``cc`` once per
-source hash and loaded through ctypes when this module is imported, and a
-vectorized numpy path that batches each color class into one step. Both
+A sweep visits the groups in index order: the grid stores its windows
+color by color, so its sweep runs one color class after another. Two
+backends run that one schedule: a small C kernel (``_sweep.c``), compiled
+with the system ``cc`` once per source hash and loaded through ctypes when
+this module is imported, and a vectorized numpy path that batches each
+color class, a slice of the rows, into one step. Both
 run the same floating-point operations in the same order, the row l1 sums
 included (sequential, written out in both), so they give bit-identical
 results. ``BACKEND`` names the one this process uses.
@@ -144,8 +145,8 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr, i64, f64, i64,
-                   f64, f64, f64, ptr, f64, i64, ptr]
+    fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, i64, f64, i64, f64,
+                   f64, f64, ptr, f64, i64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -192,7 +193,7 @@ def structured_prox_dual(
 
     Cyclic block coordinate descent over the dual group variables, each block
     step an exact l1-ball projection of the current group residual. A sweep
-    visits every group once, color-major; iteration stops when the largest
+    visits every group once, in index order; iteration stops when the largest
     single dual entry change in a sweep drops to ``tol`` or after
     ``max_iters`` sweeps. With a ``bound`` it also stops once the primal
     value is at most ``bound`` and the duality gap at most ``ETA`` times the
@@ -243,11 +244,10 @@ def _c_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
     s_prev, radius = (None, np.nan) if near is None else near
     res = np.empty(g.p)  # the kernel sets it to u - sum_g xi_g
     change = ctypes.c_double()
-    sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.order.ctypes.data,
-                      g.order.size, ptr.ctypes.data, grp.ctypes.data,
-                      xi.ctypes.data, res.ctypes.data, u.ctypes.data, g.p,
-                      rad, max_iters, tol,
-                      np.nan if bound is None else bound, ETA,
+    sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.n_groups,
+                      ptr.ctypes.data, grp.ctypes.data, xi.ctypes.data,
+                      res.ctypes.data, u.ctypes.data, g.p, rad, max_iters,
+                      tol, np.nan if bound is None else bound, ETA,
                       None if s_prev is None else s_prev.ctypes.data, radius,
                       _AITKEN_WAIT, ctypes.byref(change))
     if sweeps < 0:
@@ -298,7 +298,7 @@ def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
         if since >= _AITKEN_WAIT and r < 1.0 and sweeps < max_iters:
             # the rows this sweep changed, in the kernel's visit order
             moved = (xi.view(np.int64) != prev.view(np.int64)).any(axis=1)
-            rows = g.order[moved[g.order]]
+            rows = np.flatnonzero(moved)
             x = xi[rows]
             new = x + r / (1.0 - r) * (x - prev[rows])
             np.subtract.at(res, g.index_matrix[rows].ravel(), (new - x).ravel())

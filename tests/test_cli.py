@@ -20,6 +20,7 @@ from modet.detection import (
     read_boxes_csv,
     write_boxes_csv,
 )
+from modet.io import write_frame_pgm
 from modet.model import HyperParams, default_hyperparams
 
 
@@ -295,7 +296,9 @@ def test_run_reads_and_echoes_non_ascii_paths(small_sequence, tmp_path):
                                   ["--lambda2", "0"],
                                   ["--lambda2", "inf"],
                                   ["--tau", "-1"],
-                                  ["--tau", "nan"]])
+                                  ["--tau", "nan"],
+                                  ["--seg", "fixed:0"],
+                                  ["--seg", "fixed:-1"]])
 def test_run_bad_value_is_usage_error(small_sequence, tmp_path, flag):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -385,6 +388,50 @@ def test_run_dump_frames(small_sequence, tmp_path):
     assert (out / "fg_000015.pgm").is_file()
 
 
+def twelve_frames(small_sequence, tmp_path):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    for src in sorted(small_sequence.glob("*.pgm"))[:12]:
+        shutil.copy(src, seq / src.name)
+    return seq
+
+
+def test_run_names_a_frame_it_cannot_decode(small_sequence, tmp_path, capsys):
+    seq = twelve_frames(small_sequence, tmp_path)
+    bad = seq / "frame_000005.pgm"
+    bad.write_bytes(bad.read_bytes()[:20])
+    rc = main(["run", "--input", str(seq), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert (f"error: {bad}: byte 20: truncated P5 payload (7 of 256 bytes)"
+            in capsys.readouterr().err)
+
+
+def test_run_rejects_a_frame_of_another_size(small_sequence, tmp_path,
+                                             capsys):
+    seq = twelve_frames(small_sequence, tmp_path)
+    (seq / "frame_000007.pgm").write_bytes(
+        write_frame_pgm(np.zeros(144), 12, 12))
+    rc = main(["run", "--input", str(seq), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert ("error: frame 7 is 12x12, but the first frame is 16x16"
+            in capsys.readouterr().err)
+
+
+def test_checkpoint_in_a_missing_directory_fails_first(small_sequence,
+                                                      tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--input", str(small_sequence), "--out", str(out),
+               "--checkpoint", str(tmp_path / "nodir" / "m.ckpt")])
+    assert rc == 1
+    assert (f"error: no directory {tmp_path / 'nodir'} for the checkpoint"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a checkpoint inside OUT needs no directory made beforehand
+    rc = main(["run", "--input", str(twelve_frames(small_sequence, tmp_path)),
+               "--out", str(out), "--checkpoint", str(out / "m.ckpt")])
+    assert rc == 0 and (out / "m.ckpt").is_file()
+
+
 def test_run_missing_input_is_runtime_error(tmp_path, capsys):
     rc = main(["run", "--input", str(tmp_path / "nope"), "--out",
                str(tmp_path / "o")])
@@ -424,6 +471,50 @@ def test_eval_three_tp_one_fn_one_fp(tmp_path, capsys):
     assert rc == 0
     vals = [float(v) for v in capsys.readouterr().out.strip().split(",")]
     assert vals[:3] == [0.75, 0.75, 0.75]
+
+
+def test_eval_scores_the_frames_present_as_the_dense_history(tmp_path,
+                                                              capsys):
+    rng = np.random.default_rng(4)
+
+    def boxes():
+        return {int(i): [Box(*rng.integers(0, 6, 2), *rng.integers(1, 5, 2))
+                         for _ in range(rng.integers(1, 4))]
+                for i in rng.choice(40, 12, replace=False)}
+
+    dets, gt = boxes(), boxes()
+    write_boxes_csv(tmp_path / "dets.csv", dets)
+    write_boxes_csv(tmp_path / "gt.csv", gt)
+    for window in (1, 5, 100):
+        rc = main(["eval", "--dets", str(tmp_path / "dets.csv"), "--gt",
+                   str(tmp_path / "gt.csv"), "--window", str(window)])
+        assert rc == 0
+        # every frame index up to the largest, as the evaluation once did
+        history = [match_detections(dets.get(i, []), gt.get(i, []),
+                                    thresh=0.3)
+                   for i in range(max(*dets, *gt) + 1)]
+        want = (metrics_window(history)
+                + metrics_window(history, mode="last_k", k=window))
+        assert capsys.readouterr().out == ",".join(map(repr, want)) + "\n"
+
+
+def test_eval_of_a_far_frame_index_scores_two_frames(tmp_path, capsys,
+                                                    monkeypatch):
+    # a dense history up to frame 10**9 would take some 170 GB
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(a)
+        assert len(calls) <= 2, "a frame in neither file was scored"
+        return match_detections(*a, **kw)
+
+    monkeypatch.setattr(modet.cli, "match_detections", counted)
+    write_boxes_csv(tmp_path / "dets.csv", {10**9: [Box(0, 0, 4, 4)]})
+    write_boxes_csv(tmp_path / "gt.csv", {0: [Box(0, 0, 4, 4)]})
+    rc = main(["eval", "--dets", str(tmp_path / "dets.csv"), "--gt",
+               str(tmp_path / "gt.csv")])
+    assert rc == 0
+    assert capsys.readouterr().out == "0.0,0.0,0.0,0.0,0.0,0.0\n"
 
 
 def test_eval_malformed_csv_status_one(tmp_path, capsys):

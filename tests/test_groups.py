@@ -109,14 +109,28 @@ def test_omega_length_mismatch():
 
 def test_color_classes_are_disjoint_partitions():
     g = build_grid_groups(9, 7)
-    seen = np.concatenate(g.colors)
-    assert sorted(seen.tolist()) == list(range(g.n_groups))
+    # consecutive slices that tile the rows, in sequence
+    stops = [0] + [cls.stop for cls in g.colors]
+    assert [cls.start for cls in g.colors] == stops[:-1]
+    assert stops[-1] == g.n_groups
     for cls in g.colors:
         used = np.zeros(g.p, dtype=bool)
-        for gi in cls:
-            grp = g.index_matrix[gi]
+        for grp in g.index_matrix[cls]:
             assert not used[grp].any()
             used[grp] = True
+
+
+def greedy_colors(rows, p):
+    """First-fit coloring of groups in the order given: each group takes the
+    smallest color that no earlier group on its pixels holds."""
+    owners = [[] for _ in range(p)]
+    color = np.full(len(rows), -1)
+    for i, row in enumerate(rows.tolist()):
+        taken = {color[j] for px in row for j in owners[px]}
+        color[i] = min(set(range(len(taken) + 1)) - taken)
+        for px in row:
+            owners[px].append(i)
+    return color
 
 
 GRID_SHAPES = [(3, 3), (4, 4), (5, 4), (3, 11), (9, 7), (64, 64)]
@@ -126,19 +140,37 @@ GRID_SHAPES = [(3, 3), (4, 4), (5, 4), (3, 11), (9, 7), (64, 64)]
 @pytest.mark.parametrize("H,W", GRID_SHAPES,
                          ids=[f"{H}-{W}-{WINDOW}" for H, W in GRID_SHAPES])
 def test_grid_coloring_equals_greedy(H, W):
+    # the grid stores its windows color by color, the (row mod 3, col mod 3)
+    # classes in sequence and each one in raster order: the order a greedy
+    # first-fit coloring of the raster-ordered windows sorts them into
     g = build_grid_groups(H, W)
-    greedy = GroupStructure(g.index_matrix, g.p)
-    assert len(g.colors) == len(greedy.colors)
-    for a, b in zip(g.colors, greedy.colors):
-        assert np.array_equal(a, b)
-    assert np.array_equal(g.order, np.concatenate(g.colors))
+    origin = g.index_matrix[:, 0]
+    rows, cols = origin // W, origin % W
+    label = (rows % WINDOW) * WINDOW + cols % WINDOW
+    assert (np.diff(label) >= 0).all()
+    assert len(g.colors) == min(H - 2, 3) * min(W - 2, 3)
+    for cls in g.colors:
+        assert len(set(label[cls])) == 1
+        assert (np.diff(origin[cls]) > 0).all()
+    raster = np.argsort(origin)
+    greedy = greedy_colors(g.index_matrix[raster], g.p)
+    assert np.array_equal(raster[np.argsort(greedy, kind="stable")],
+                          np.arange(g.n_groups))
+    assert len(g.colors) == greedy.max() + 1
 
 
 def test_given_coloring_must_be_proper():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="disjoint"):
         GroupStructure([[0, 1], [1, 2]], 3, color_of=[5, 5])
-    g = GroupStructure([[0, 1], [1, 2], [2, 3]], 4, color_of=[7, 2, 7])
-    assert [c.tolist() for c in g.colors] == [[1], [0, 2]]
+    # the groups must come color by color, with nonnegative labels
+    for labels in ([7, 2, 7], [-1, 0, 0]):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            GroupStructure([[0, 1], [1, 2], [2, 3]], 4, color_of=labels)
+    g = GroupStructure([[0, 1], [2, 3], [1, 2]], 4, color_of=[2, 2, 7])
+    assert g.colors == [slice(0, 2), slice(2, 3)]
+    # without labels each group is a class of its own
+    g = GroupStructure([[0, 1], [2, 3], [1, 2]], 4)
+    assert g.colors == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 def test_groups_of_unequal_size_are_rejected():
@@ -163,9 +195,7 @@ def test_list_and_array_store_the_same_layout(case):
     b = GroupStructure(np.array(rows), p)
     assert np.array_equal(a.index_matrix, rows)
     assert np.array_equal(b.index_matrix, rows)
-    assert np.array_equal(a.order, b.order)
-    assert len(a.colors) == len(b.colors)
-    assert all(np.array_equal(x, y) for x, y in zip(a.colors, b.colors))
+    assert a.colors == b.colors
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
