@@ -205,11 +205,11 @@ def cmd_run(args) -> int:
         log.warning("%d frames stopped at the %d-iteration separation cap "
                     "with their change above tau: %s", len(exhausted),
                     separation.MAX_SEP_ITERS, _frame_list(exhausted))
-    print(
-        f"processed {summary.frames_processed} frames "
-        f"({summary.mean_wall_ms:.1f} ms/frame), "
-        f"metrics in {out / 'metrics.csv'}, checkpoint in {ckpt}"
-    )
+    timing = f"frame 0: {summary.first_frame_ms:.1f} ms"
+    if summary.frames_processed > 1:
+        timing += f", then {summary.mean_wall_ms:.1f} ms/frame"
+    print(f"processed {summary.frames_processed} frames ({timing}), "
+          f"metrics in {out / 'metrics.csv'}, checkpoint in {ckpt}")
     return 0
 
 
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--downsample", type=_positive_int, default=1,
                      metavar="T",
                      help="process one frame in every T")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_nonnegative_int, default=0)
     run.add_argument("--diagnostics", action="store_true",
                      help="track surrogate cost and basis drift")
     run.add_argument("--checkpoint", default=None,
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="true background rank")
     synth.add_argument("--blobs", type=_nonnegative_int, default=3)
     synth.add_argument("--noise", type=_nonnegative_float, default=0.01)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_nonnegative_int, default=0)
     synth.set_defaults(func=cmd_synth)
 
     ev = sub.add_parser("eval", help="score detections against groundtruth")

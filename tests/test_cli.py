@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -430,6 +431,37 @@ def test_checkpoint_in_a_missing_directory_fails_first(small_sequence,
     rc = main(["run", "--input", str(twelve_frames(small_sequence, tmp_path)),
                "--out", str(out), "--checkpoint", str(out / "m.ckpt")])
     assert rc == 0 and (out / "m.ckpt").is_file()
+
+
+@pytest.mark.parametrize("argv", [["run", "--seed", "-1"],
+                                  ["synth", "--seed", "-3"]])
+def test_negative_seed_is_usage_error(small_sequence, tmp_path, argv):
+    # numpy used to reject it only after run had written OUT/
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        argv = [*argv, "--input", str(small_sequence)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_run_reports_frame_0_apart(small_sequence, tmp_path, capsys):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    for src in sorted(small_sequence.glob("*.pgm"))[:6]:
+        shutil.copy(src, seq / src.name)
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(seq), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(r"processed 6 frames \(frame 0: (\S+) ms, then "
+                         r"(\S+) ms/frame\), metrics in .*", line)
+    assert match, line
+    _, rows = read_rows(out / "metrics.csv")
+    wall_ms = [float(row[-1]) for row in rows]
+    first, later = map(float, match.groups())
+    assert abs(first - wall_ms[0]) <= 0.051
+    assert abs(later - np.mean(wall_ms[1:])) <= 0.051
 
 
 def test_run_missing_input_is_runtime_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import modet.prox
 import modet.separation
 from conftest import joint_objective
 from modet.groups import build_grid_groups
@@ -255,6 +256,24 @@ class TestSeparate:
             d.pixels, L, res.coeffs, res.foreground, g, params)
         monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 200)
         assert separate(d, L, g, params).prox_rejected == 0
+
+    def test_inexact_steps_end_close_to_tighter_ones(self, monkeypatch):
+        # a 64x64 stream's basis frozen after 40 frames: on the next 10
+        # frames the gap stop at ETA ends within 2e-3 of the frame cost a
+        # stop at ETA = 1e-3 reaches
+        frames = list(synth_sequence(SynthSpec(n_frames=50), 7)[0])
+        summary = run_sequence(iter(frames[:40]), seed=0)
+        L, params = summary.model.basis, summary.params
+        g = build_grid_groups(64, 64)
+
+        def costs():
+            return np.array([separate(f, L, g, params).objective_trace[-1]
+                             for f in frames[40:]])
+
+        got = costs()
+        monkeypatch.setattr(modet.prox, "ETA", 1e-3)
+        tight = costs()
+        assert (np.abs(got - tight) <= 2e-3 * tight).all()
 
     def test_dimension_mismatches(self):
         g = build_grid_groups(4, 4)
