@@ -1,9 +1,7 @@
 /* Dual block-coordinate sweeps of the structured prox (see prox.py).
  *
  * The groups are the rows of a dense index matrix of pixels in [0, p):
- * all have one width, res has p entries, and no entry is padding. The
- * caller passes the structure's pixel -> group index (CSR: the groups on
- * pixel i are grp[ptr[i] .. ptr[i + 1]]), built once per structure.
+ * all have one width, res has p entries, and no entry is padding.
  *
  * A call first sets res = u - sum_g xi_g, adding the xi entries into a
  * zeroed res in index-matrix order, as np.bincount adds them. It then
@@ -20,6 +18,10 @@
  * entries has changed bits since: that visit would read the same bits and
  * write the same bits back, so the skip changes nothing numpy computes.
  * Bits are compared, not values, because a visit may turn +0.0 into -0.0.
+ * The state for this lives in the call's scratch: a counter, tick, that
+ * advances at every group and at every Aitken step; each res entry's tick
+ * of its last bit change (stamp); and each group's tick of its last visit
+ * (seen) and whether that visit changed a bit of its row (dirty).
  *
  * After a plain sweep whose change ratio r = change_k / change_{k-1} is
  * below 1, at least wait plain sweeps since the last step and not the last
@@ -38,8 +40,6 @@
  * A bounded call given a previous foreground s (near not NaN) also stops
  * after a plain sweep with P(res) <= bound and
  * sqrt(sum_i (res_i - s_i)^2) <= near.
- * Each group's max is cached and recomputed only when put() has flagged it
- * stale since the last test.
  * prox._colored_sweeps repeats all of this operation for operation, the
  * sums of the test included (sequential, in index order).
  */
@@ -48,42 +48,30 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* the per-group flags: the next visit may change something; the cached max
- * is out of date */
-enum { DIRTY = 1, STALE = 2 };
-
 static int same_bits(double a, double b)
 {
     return memcmp(&a, &b, sizeof a) == 0;
 }
 
-/* Writes nw into *x and moves res[i] by the difference; flags group g dirty
- * and, when res[i] changes bits, every group on pixel i dirty and stale.
- * Returns |nw - *x|. When nw has *x's bits nothing is written: the
- * difference is +0.0, and res -= +0.0 changes no bit. */
-static double put(double *x, double nw, double *res, int64_t i, int64_t g,
-                  const int64_t *ptr, const int32_t *grp, uint8_t *flags)
+/* Writes nw into *x and moves res[i] by the difference, stamping res[i]
+ * with tick when its bits change; returns |nw - *x|. When nw has *x's bits
+ * the difference is +0.0, and res -= +0.0 changes no bit. */
+static double put(double *x, double nw, double *res, int64_t i,
+                  int64_t *stamp, int64_t tick)
 {
-    if (same_bits(nw, *x)) return 0.0;
-    flags[g] |= DIRTY;
     double d = nw - *x, r = res[i] - d;
-    if (!same_bits(r, res[i])) {
-        res[i] = r;
-        for (int64_t k = ptr[i]; k < ptr[i + 1]; k++)
-            flags[grp[k]] = DIRTY | STALE;
-    }
+    if (!same_bits(r, res[i])) stamp[i] = tick;
+    res[i] = r;
     *x = nw;
     return fabs(d);
 }
 
 /* The stop test of a bounded call at the current residual (see the top of
- * this file); uu is sum_i u_i^2. Recomputes the cached max gmax[g] of each
- * group flagged stale and clears its flag. */
+ * this file); uu is sum_i u_i^2. */
 static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
                     const double *res, const double *u, int64_t p,
                     double rad, double uu, double bound, double eta,
-                    const double *s, double near, double *gmax,
-                    uint8_t *flags)
+                    const double *s, double near)
 {
     double dd = 0.0, rr = 0.0, om = 0.0;
     for (int64_t i = 0; i < p; i++) {
@@ -92,17 +80,13 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
         rr += res[i] * res[i];
     }
     for (int64_t g = 0; g < n_groups; g++) {
-        if (flags[g] & STALE) {
-            const int64_t *ix = idx + g * width;
-            double m = 0.0;
-            for (int64_t j = 0; j < width; j++) {
-                double a = fabs(res[ix[j]]);
-                m = a > m ? a : m;
-            }
-            gmax[g] = m;
-            flags[g] &= (uint8_t)~STALE;
+        const int64_t *ix = idx + g * width;
+        double m = 0.0;
+        for (int64_t j = 0; j < width; j++) {
+            double a = fabs(res[ix[j]]);
+            m = a > m ? a : m;
         }
-        om += rad * gmax[g];
+        om += rad * m;
     }
     double P = 0.5 * dd + om;
     if (!(P <= bound)) return 0;
@@ -121,13 +105,11 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
  * sweep is <= tol, a bounded call's stop test holds or max_sweeps ran;
  * returns the sweeps run and stores the last sweep's change, or returns -1
  * when the scratch cannot be allocated. idx and xi are (n_groups, width)
- * row-major, ptr (p + 1 entries) and grp are the pixel -> group index, and
- * u is the prox input. A NaN bound skips the stop test, and a NaN near its
- * test against s. wait is the Aitken step's constant.
+ * row-major, and u is the prox input. A NaN bound skips the stop test, and
+ * a NaN near its test against s. wait is the Aitken step's constant.
  * The groups of one color class, a run of rows, are disjoint, so visiting
  * them one at a time gives what numpy's batched step over the class gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
-                    const int64_t *ptr, const int32_t *grp,
                     double *xi, double *res, const double *u, int64_t p,
                     double rad, int64_t max_sweeps, double tol,
                     double bound, double eta, const double *s, double near,
@@ -135,18 +117,20 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
 {
     int64_t n = n_groups * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
-     * each group's cached max for the gap test; the changed groups; and the
-     * flags of each group */
-    double *work = malloc((size_t)(4 * width + n + n_groups) * sizeof(double)
-                          + (size_t)n_groups * sizeof(int64_t)
+     * the changed groups; the skip's stamp, seen and dirty (see the top of
+     * this file) */
+    double *work = malloc((size_t)(4 * width + n) * sizeof(double)
+                          + (size_t)(2 * n_groups + p) * sizeof(int64_t)
                           + (size_t)n_groups);
     if (!work) return -1;
     double *v = work, *a = work + width, *srt = work + 2 * width;
     double *cs = work + 3 * width, *prev = work + 4 * width;
-    double *gmax = prev + n;
-    int64_t *changed = (int64_t *)(gmax + n_groups);
-    uint8_t *flags = (uint8_t *)(changed + n_groups);
-    memset(flags, DIRTY | STALE, (size_t)n_groups);
+    int64_t *changed = (int64_t *)(prev + n), *seen = changed + n_groups;
+    int64_t *stamp = seen + n_groups;
+    uint8_t *dirty = (uint8_t *)(stamp + p);
+    /* every group is visited in the first sweep, which sets its seen */
+    memset(dirty, 1, (size_t)n_groups);
+    memset(stamp, 0, (size_t)p * sizeof *stamp);
     memset(res, 0, (size_t)p * sizeof *res);
     for (int64_t e = 0; e < n; e++) res[idx[e]] += xi[e];
     for (int64_t i = 0; i < p; i++) res[i] = u[i] - res[i];
@@ -158,17 +142,21 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
     /* Aitken state: the previous change, the plain sweeps since the last
      * step */
     double change = INFINITY, last = INFINITY;
-    int64_t sweeps = 0, since = 0, n_changed;
+    int64_t sweeps = 0, since = 0, n_changed, tick = 0;
     while (sweeps < max_sweeps) {
         sweeps++;
         change = 0.0;
         n_changed = 0;
-        /* a pointer walk: gcc 12 makes an index loop's skip much slower */
-        for (uint8_t *f = flags; f < flags + n_groups; f++) {
-            if (!(*f & DIRTY)) continue;
-            *f &= (uint8_t)~DIRTY;
-            int64_t g = f - flags;
+        for (int64_t g = 0; g < n_groups; g++) {
+            tick++;
             const int64_t *ix = idx + g * width;
+            if (!dirty[g]) {
+                int64_t j = 0;
+                while (j < width && stamp[ix[j]] < seen[g]) j++;
+                if (j == width) continue;
+            }
+            seen[g] = tick;
+            dirty[g] = 0;
             double *x = xi + g * width, theta = 0.0, l1 = 0.0;
             for (int64_t j = 0; j < width; j++) {
                 v[j] = res[ix[j]] + x[j];
@@ -191,7 +179,6 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
                 if (rho == 0) rho = 1;
                 theta = (cs[rho - 1] - rad) / (double)rho;
             }
-            int saved = 0;
             for (int64_t j = 0; j < width; j++) {
                 double nw = v[j];
                 if (outside) {
@@ -199,31 +186,33 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
                     double sg = v[j] > 0.0 ? 1.0 : (v[j] < 0.0 ? -1.0 : 0.0);
                     nw = sg * (m > 0.0 ? m : 0.0);
                 }
-                if (!saved && !same_bits(nw, x[j])) {
+                if (!dirty[g] && !same_bits(nw, x[j])) {
                     /* entries before j are unchanged: the pre-visit row */
                     memcpy(prev + g * width, x, (size_t)width * sizeof *x);
                     changed[n_changed++] = g;
-                    saved = 1;
+                    dirty[g] = 1;
                 }
-                double d = put(x + j, nw, res, ix[j], g, ptr, grp, flags);
+                double d = put(x + j, nw, res, ix[j], stamp, tick);
                 if (d > change) change = d;
             }
         }
         if (change <= tol) break;
         if (bounded && gap_stop(idx, width, n_groups, res, u, p, rad, uu,
-                                bound, eta, s, near, gmax, flags))
+                                bound, eta, s, near))
             break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
         if (since >= wait && r < 1.0 && sweeps < max_sweeps) {
             double c = r / (1.0 - r);
+            tick++;
+            /* the rows it moves are dirty: their visit changed them */
             for (int64_t l = 0; l < n_changed; l++) {
                 int64_t g = changed[l];
                 double *x = xi + g * width;
                 const double *x0 = prev + g * width;
                 for (int64_t j = 0; j < width; j++)
                     put(x + j, x[j] + c * (x[j] - x0[j]), res,
-                        idx[g * width + j], g, ptr, grp, flags);
+                        idx[g * width + j], stamp, tick);
             }
             since = 0;
         }

@@ -260,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", required=True,
                      help="sequence directory or manifest file")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--rank", type=_positive_int, default=25)
+    run.add_argument("--rank", type=_positive_int, default=HyperParams.rank)
     run.add_argument("--lambda1", type=_positive_float, default=None,
                      help="low-rank weight (default 1/sqrt(pixels))")
     run.add_argument("--lambda2", type=_positive_float, default=None,
                      help="structured-sparsity weight (default 10*lambda1)")
-    run.add_argument("--tau", type=_positive_float, default=1e-5,
+    run.add_argument("--tau", type=_positive_float, default=HyperParams.tau,
                      help="separation stop tolerance")
     run.add_argument("--downsample", type=_positive_int, default=1,
                      metavar="T",

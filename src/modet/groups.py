@@ -23,9 +23,6 @@ class GroupStructure:
     classes of pairwise-disjoint groups, listed color by color; a batched
     sweep then runs one class at a time. Without it each group is a class
     of its own. ``colors`` holds each class as a slice of the rows.
-    ``pixel_groups()`` gives the groups on each pixel; it is built at its
-    first call, the structure's first prox call on the C kernel, so that
-    building a structure does not pay for it.
     """
 
     def __init__(self, groups, p: int, color_of=None):
@@ -72,27 +69,6 @@ class GroupStructure:
             if any((np.bincount(matrix[c].ravel()) > 1).any()
                    for c in self.colors):
                 raise ValueError("groups of one color must be disjoint")
-        self._pixel_groups = None
-
-    def pixel_groups(self) -> tuple[np.ndarray, np.ndarray]:
-        """The groups on each pixel as a read-only CSR index ``(ptr, grp)``.
-
-        The groups covering pixel i are ``grp[ptr[i]:ptr[i + 1]]``, in
-        ascending order; ``ptr`` (p + 1 entries) is int64 and ``grp`` int32.
-        Built at the first call and cached on the structure.
-        """
-        if self._pixel_groups is None:
-            flat = self.index_matrix.ravel()
-            ptr = np.zeros(self.p + 1, dtype=np.int64)
-            np.cumsum(np.bincount(flat, minlength=self.p), out=ptr[1:])
-            # a stable sort by pixel keeps each pixel's groups ascending
-            entries = np.argsort(flat, kind="stable")
-            entries //= self.index_matrix.shape[1]
-            grp = entries.astype(np.int32)
-            ptr.setflags(write=False)
-            grp.setflags(write=False)
-            self._pixel_groups = (ptr, grp)
-        return self._pixel_groups
 
 
 def build_grid_groups(H: int, W: int) -> GroupStructure:

@@ -39,8 +39,8 @@ class FrameOutput:
 @dataclass
 class RunSummary:
     """Run totals. The first processed frame is timed apart from the rest:
-    it starts from the random basis (and, on the C kernel, builds the prox's
-    pixel -> group index), so it costs several times a later frame.
+    it starts from the random basis, so it costs several times a later
+    frame.
     ``mean_wall_ms`` is the mean over the later frames (NaN when there are
     none)."""
 

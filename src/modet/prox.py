@@ -18,9 +18,10 @@ results. ``BACKEND`` names the one this process uses.
 
 The kernel also skips a group whose last visit rewrote no bit of its dual
 row while no residual entry on its pixels has changed bits since: that
-visit would read and write the same bits. The numpy path visits every
-group; the skip leaves sweep counts, changes, dual states and foregrounds
-bit-identical.
+visit would read and write the same bits. It tells so from per-call
+scratch, a visit counter stamped on each residual entry whose bits change
+and on each group it visits. The numpy path visits every group; the skip
+leaves sweep counts, changes, dual states and foregrounds bit-identical.
 
 Both backends accelerate the geometric tail of the sweeps with an Aitken
 step. After sweep k, with r = change_k / change_{k-1}: when r < 1, at least
@@ -48,14 +49,12 @@ stops as well after a plain sweep with P(res) <= bound and
 and its own stop threshold, so a call whose result would end the
 separation anyway stops there (inexact block coordinate descent whose inner
 accuracy follows the outer stop test). Both backends add every sum of the
-tests sequentially in index order, so they stay bit-identical; the kernel
-recomputes a group's max only when a residual entry on its pixels has
-changed since the last test.
+tests sequentially in index order, and recompute every group's max at each
+test, so they stay bit-identical.
 
-The kernel reads the structure's pixel -> group index
-(``GroupStructure.pixel_groups``), built once per structure, and computes
-the starting residual u - sum_g xi_g itself, adding in ``np.bincount``'s
-order; only its mutable scratch is allocated per call.
+The kernel computes the starting residual u - sum_g xi_g itself, adding in
+``np.bincount``'s order. It reads the structure and writes nothing to it;
+its scratch is allocated per call.
 """
 
 from __future__ import annotations
@@ -147,8 +146,8 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, i64, f64, i64, f64,
-                   f64, f64, ptr, f64, i64, ptr]
+    fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, f64, i64, f64, f64, f64,
+                   ptr, f64, i64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -242,14 +241,13 @@ def structured_prox_dual(
 
 def _c_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p)
-    ptr, grp = g.pixel_groups()
     s_prev, radius = (None, np.nan) if near is None else near
     res = np.empty(g.p)  # the kernel sets it to u - sum_g xi_g
     change = ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.n_groups,
-                      ptr.ctypes.data, grp.ctypes.data, xi.ctypes.data,
-                      res.ctypes.data, u.ctypes.data, g.p, rad, max_iters,
-                      tol, np.nan if bound is None else bound, ETA,
+                      xi.ctypes.data, res.ctypes.data, u.ctypes.data, g.p,
+                      rad, max_iters, tol,
+                      np.nan if bound is None else bound, ETA,
                       None if s_prev is None else s_prev.ctypes.data, radius,
                       _AITKEN_WAIT, ctypes.byref(change))
     if sweeps < 0:

@@ -207,28 +207,3 @@ def test_omega_equals_the_full_gather_bit_for_bit(case, data):
     s = data.draw(arrays(np.float64, p, elements=st.floats(-1e6, 1e6)))
     gathered = float(np.abs(s)[g.index_matrix].max(axis=1).sum())
     assert omega_norm(s, g).hex() == gathered.hex()
-
-
-def test_pixel_groups_lists_each_pixels_groups():
-    rng = np.random.default_rng(3)
-    rows = add_covering_windows(
-        [sorted(rng.choice(30, 4, replace=False).tolist()) for _ in range(12)],
-        30, 4)
-    for g in (build_grid_groups(5, 7), GroupStructure(rows, 30)):
-        ptr, grp = g.pixel_groups()
-        assert ptr.dtype == np.int64 and grp.dtype == np.int32
-        assert ptr.shape == (g.p + 1,) and grp.shape == (g.index_matrix.size,)
-        for i in range(g.p):
-            brute = [j for j, row in enumerate(g.index_matrix.tolist())
-                     if i in row]
-            assert grp[ptr[i]:ptr[i + 1]].tolist() == brute
-        # cached and read-only: a kernel may keep reading it
-        assert g.pixel_groups()[1] is grp
-        assert not ptr.flags.writeable and not grp.flags.writeable
-
-
-def test_building_a_structure_does_not_build_its_pixel_index():
-    # the index is built at the first prox call, outside the set-up time
-    assert build_grid_groups(16, 16)._pixel_groups is None
-    g = GroupStructure([[0, 1], [1, 2]], 3)
-    assert g._pixel_groups is None

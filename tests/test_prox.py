@@ -351,6 +351,21 @@ class TestStructuredProx:
             assert prox_bytes(u, g, 0.16, init=done, bound=b,
                               near=(prev, radius)) == want
 
+    def test_calls_leave_the_structure_unchanged(self):
+        # a structure is shared by every call of a stream: no call may add
+        # or rewrite any of its state
+        def state(g):
+            return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(g).items()}
+
+        rng = np.random.default_rng(4)
+        for g in (build_grid_groups(12, 10), random_structure(rng, 40, 6)):
+            before = state(g)
+            u = rng.normal(0, 0.3, g.p)
+            for kw in (dict(), dict(bound=0.5 * (u @ u))):
+                structured_prox_dual(u, g, 0.2, **kw)
+            assert state(g) == before
+
     def test_rejects_bad_inputs(self):
         g = two_group_structure()
         with pytest.raises(ValueError):
@@ -564,8 +579,8 @@ class TestBackends:
                 assert c == numpy
 
     def test_structures_used_alternately_match_fresh_ones(self):
-        # each structure keeps its own pixel index: calls that alternate
-        # between two give the bytes of calls on freshly built structures
+        # a call keeps no state between calls: calls that alternate between
+        # two structures give the bytes of calls on freshly built ones
         rng = np.random.default_rng(17)
         makers = (lambda: build_grid_groups(12, 10),
                   lambda: random_structure(np.random.default_rng(5), 40, 6))
