@@ -37,9 +37,6 @@
  * The second term of G is the dual objective at xi, which is feasible, so
  * G >= P(res) - P* >= 0: the candidate is below the bound, and its excess
  * over the optimum P* is at most eta times its margin below the bound.
- * A bounded call given a previous foreground s (near not NaN) also stops
- * after a plain sweep with P(res) <= bound and
- * sqrt(sum_i (res_i - s_i)^2) <= near.
  * prox._colored_sweeps repeats all of this operation for operation, the
  * sums of the test included (sequential, in index order).
  */
@@ -70,8 +67,7 @@ static double put(double *x, double nw, double *res, int64_t i,
  * this file); uu is sum_i u_i^2. */
 static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
                     const double *res, const double *u, int64_t p,
-                    double rad, double uu, double bound, double eta,
-                    const double *s, double near)
+                    double rad, double uu, double bound, double eta)
 {
     double dd = 0.0, rr = 0.0, om = 0.0;
     for (int64_t i = 0; i < p; i++) {
@@ -91,42 +87,33 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
     double P = 0.5 * dd + om;
     if (!(P <= bound)) return 0;
     double G = P - (0.5 * uu - 0.5 * rr);
-    if (G <= eta * (bound - P)) return 1;
-    if (isnan(near)) return 0;
-    double ns = 0.0;
-    for (int64_t i = 0; i < p; i++) {
-        double e = res[i] - s[i];
-        ns += e * e;
-    }
-    return sqrt(ns) <= near;
+    return G <= eta * (bound - P);
 }
 
 /* Sets res = u - sum_g xi_g, then sweeps until the largest dual change of a
  * sweep is <= tol, a bounded call's stop test holds or max_sweeps ran;
  * returns the sweeps run and stores the last sweep's change, or returns -1
  * when the scratch cannot be allocated. idx and xi are (n_groups, width)
- * row-major, and u is the prox input. A NaN bound skips the stop test, and
- * a NaN near its test against s. wait is the Aitken step's constant.
+ * row-major, and u is the prox input. A NaN bound skips the stop test.
+ * wait is the Aitken step's constant.
  * The groups of one color class, a run of rows, are disjoint, so visiting
  * them one at a time gives what numpy's batched step over the class gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
                     double *xi, double *res, const double *u, int64_t p,
                     double rad, int64_t max_sweeps, double tol,
-                    double bound, double eta, const double *s, double near,
-                    int64_t wait, double *change_out)
+                    double bound, double eta, int64_t wait,
+                    double *change_out)
 {
     int64_t n = n_groups * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
-     * the changed groups; the skip's stamp, seen and dirty (see the top of
-     * this file) */
+     * the skip's seen, stamp and dirty (see the top of this file) */
     double *work = malloc((size_t)(4 * width + n) * sizeof(double)
-                          + (size_t)(2 * n_groups + p) * sizeof(int64_t)
+                          + (size_t)(n_groups + p) * sizeof(int64_t)
                           + (size_t)n_groups);
     if (!work) return -1;
     double *v = work, *a = work + width, *srt = work + 2 * width;
     double *cs = work + 3 * width, *prev = work + 4 * width;
-    int64_t *changed = (int64_t *)(prev + n), *seen = changed + n_groups;
-    int64_t *stamp = seen + n_groups;
+    int64_t *seen = (int64_t *)(prev + n), *stamp = seen + n_groups;
     uint8_t *dirty = (uint8_t *)(stamp + p);
     /* every group is visited in the first sweep, which sets its seen */
     memset(dirty, 1, (size_t)n_groups);
@@ -142,11 +129,10 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
     /* Aitken state: the previous change, the plain sweeps since the last
      * step */
     double change = INFINITY, last = INFINITY;
-    int64_t sweeps = 0, since = 0, n_changed, tick = 0;
+    int64_t sweeps = 0, since = 0, tick = 0;
     while (sweeps < max_sweeps) {
         sweeps++;
         change = 0.0;
-        n_changed = 0;
         for (int64_t g = 0; g < n_groups; g++) {
             tick++;
             const int64_t *ix = idx + g * width;
@@ -189,7 +175,6 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
                 if (!dirty[g] && !same_bits(nw, x[j])) {
                     /* entries before j are unchanged: the pre-visit row */
                     memcpy(prev + g * width, x, (size_t)width * sizeof *x);
-                    changed[n_changed++] = g;
                     dirty[g] = 1;
                 }
                 double d = put(x + j, nw, res, ix[j], stamp, tick);
@@ -198,16 +183,17 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
         }
         if (change <= tol) break;
         if (bounded && gap_stop(idx, width, n_groups, res, u, p, rad, uu,
-                                bound, eta, s, near))
+                                bound, eta))
             break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
         if (since >= wait && r < 1.0 && sweeps < max_sweeps) {
             double c = r / (1.0 - r);
             tick++;
-            /* the rows it moves are dirty: their visit changed them */
-            for (int64_t l = 0; l < n_changed; l++) {
-                int64_t g = changed[l];
+            /* the rows this sweep changed, in visit order: after a plain
+             * sweep a group is dirty exactly when its visit changed it */
+            for (int64_t g = 0; g < n_groups; g++) {
+                if (!dirty[g]) continue;
                 double *x = xi + g * width;
                 const double *x0 = prev + g * width;
                 for (int64_t j = 0; j < width; j++)

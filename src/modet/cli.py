@@ -33,7 +33,7 @@ from .io import (
     write_frame_pgm,
     write_sequence_dir,
 )
-from .model import HyperParams
+from .model import LAMBDA2_PER_LAMBDA1, HyperParams, default_hyperparams
 from .pipeline import run_sequence
 
 log = logging.getLogger(__name__)
@@ -118,8 +118,10 @@ def cmd_run(args) -> int:
         raise ValueError(f"the {height}x{width} frames are smaller than the "
                          f"{WINDOW}x{WINDOW} window of the foreground penalty")
 
-    lambda1 = args.lambda1 if args.lambda1 is not None else 1.0 / math.sqrt(p)
-    lambda2 = args.lambda2 if args.lambda2 is not None else 10.0 * lambda1
+    lambda1 = (args.lambda1 if args.lambda1 is not None
+               else default_hyperparams(p).lambda1)
+    lambda2 = (args.lambda2 if args.lambda2 is not None
+               else LAMBDA2_PER_LAMBDA1 * lambda1)
     params = HyperParams(
         lambda1=lambda1, lambda2=lambda2, rank=args.rank, tau=args.tau
     )
@@ -264,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lambda1", type=_positive_float, default=None,
                      help="low-rank weight (default 1/sqrt(pixels))")
     run.add_argument("--lambda2", type=_positive_float, default=None,
-                     help="structured-sparsity weight (default 10*lambda1)")
+                     help="structured-sparsity weight (default "
+                          f"{LAMBDA2_PER_LAMBDA1:g}*lambda1)")
     run.add_argument("--tau", type=_positive_float, default=HyperParams.tau,
                      help="separation stop tolerance")
     run.add_argument("--downsample", type=_positive_int, default=1,

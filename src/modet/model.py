@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The default lambda2 of a stream, as a multiple of its lambda1.
+LAMBDA2_PER_LAMBDA1 = 10.0
+
 
 @dataclass
 class Frame:
@@ -61,12 +64,13 @@ class HyperParams:
 def default_hyperparams(p: int) -> HyperParams:
     """Default weights for a frame of p pixels in [0, 1].
 
-    lambda1 = 1/sqrt(p), lambda2 = 10*lambda1, rank 25, tau 1e-5.
+    lambda1 = 1/sqrt(p), lambda2 = ``LAMBDA2_PER_LAMBDA1`` (10) * lambda1,
+    rank 25, tau 1e-5.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     lam1 = 1.0 / math.sqrt(p)
-    return HyperParams(lambda1=lam1, lambda2=10.0 * lam1)
+    return HyperParams(lambda1=lam1, lambda2=LAMBDA2_PER_LAMBDA1 * lam1)
 
 
 @dataclass
@@ -120,11 +124,11 @@ class SeparationResult:
     coefficients. ``objective_trace`` holds the per-frame cost after each
     alternation, ``final_delta`` the last stop-criterion value (> tau only
     when ``modet.separation.MAX_SEP_ITERS`` ran out). ``prox_sweeps`` sums
-    the dual sweeps of the frame's prox calls, one call per iteration;
-    ``prox_capped`` counts the calls that hit
-    ``modet.separation.MAX_PROX_ITERS`` with the dual change still above
-    ``modet.separation.PROX_TOL``, and ``prox_rejected`` the prox steps
-    not taken because they would have raised the frame cost.
+    the dual sweeps of the frame's prox calls, one per iteration except a
+    last one whose ridge step ends the frame; ``prox_capped`` counts the
+    calls that hit ``modet.separation.MAX_PROX_ITERS`` with the dual change
+    still above ``modet.separation.PROX_TOL``, and ``prox_rejected`` the
+    prox steps not taken because they would have raised the frame cost.
     """
 
     coeffs: np.ndarray

@@ -43,14 +43,8 @@ its excess over the optimum is at most ``ETA`` times its margin below the
 bound. The caller's bound is the primal value of its previous iterate, so
 the call certifies descent and its accuracy follows the decrease the step
 makes; when that decrease vanishes, only the ``tol`` test can stop the
-call. A bounded call may also be given ``near=(s_prev, radius)``: it then
-stops as well after a plain sweep with P(res) <= bound and
-||res - s_prev||_2 <= radius. The separation passes its previous foreground
-and its own stop threshold, so a call whose result would end the
-separation anyway stops there (inexact block coordinate descent whose inner
-accuracy follows the outer stop test). Both backends add every sum of the
-tests sequentially in index order, and recompute every group's max at each
-test, so they stay bit-identical.
+call. Both backends add every sum of the test sequentially in index order,
+and recompute every group's max at each test, so they stay bit-identical.
 
 The kernel computes the starting residual u - sum_g xi_g itself, adding in
 ``np.bincount``'s order. It reads the structure and writes nothing to it;
@@ -147,7 +141,7 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, f64, i64, f64, f64, f64,
-                   ptr, f64, i64, ptr]
+                   i64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -188,7 +182,6 @@ def structured_prox_dual(
     max_iters: int = MAX_PROX_ITERS,
     init: np.ndarray | None = None,
     bound: float | None = None,
-    near: tuple[np.ndarray, float] | None = None,
 ):
     """Solve the structured prox; return (s, xi, sweeps, last_change).
 
@@ -198,12 +191,10 @@ def structured_prox_dual(
     single dual entry change in a sweep drops to ``tol`` or after
     ``max_iters`` sweeps. With a ``bound`` it also stops once the primal
     value is at most ``bound`` and the duality gap at most ``ETA`` times the
-    margin, or, given ``near=(s_prev, radius)``, once the primal value is at
-    most ``bound`` and s lies within ``radius`` of ``s_prev`` (see the module
-    docstring). ``s`` is the residual the sweeps kept, the vector that test
-    certified. ``xi`` is the dual state, one row per group aligned with
-    ``g.index_matrix``; passing a returned ``xi`` as ``init`` warm-starts the
-    dual variables.
+    margin (see the module docstring). ``s`` is the residual the sweeps kept,
+    the vector that test certified. ``xi`` is the dual state, one row per
+    group aligned with ``g.index_matrix``; passing a returned ``xi`` as
+    ``init`` warm-starts the dual variables.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size != g.p:
@@ -214,17 +205,6 @@ def structured_prox_dual(
         raise ValueError("lambda2 must be positive")
     if bound is not None and not np.isfinite(bound):
         raise ValueError("bound must be finite")
-    if near is not None:
-        s_prev = np.ascontiguousarray(near[0], dtype=np.float64).ravel()
-        radius = float(near[1])
-        if bound is None:
-            raise ValueError("near needs a bound")
-        if s_prev.size != g.p or not np.all(np.isfinite(s_prev)):
-            raise ValueError("near's foreground must be finite, one entry "
-                             "per pixel")
-        if not radius >= 0.0:
-            raise ValueError("near's radius must be nonnegative")
-        near = (s_prev, radius)
 
     if init is not None:
         xi = np.array(init, dtype=np.float64, order="C")
@@ -235,27 +215,25 @@ def structured_prox_dual(
 
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
     res, sweeps, change = sweep(g, xi, u, float(lambda2), tol, int(max_iters),
-                                bound, near)
+                                bound)
     return res, xi, int(sweeps), float(change)
 
 
-def _c_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
+def _c_sweeps(g, xi, u, rad, tol, max_iters, bound):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p)
-    s_prev, radius = (None, np.nan) if near is None else near
     res = np.empty(g.p)  # the kernel sets it to u - sum_g xi_g
     change = ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.n_groups,
                       xi.ctypes.data, res.ctypes.data, u.ctypes.data, g.p,
                       rad, max_iters, tol,
                       np.nan if bound is None else bound, ETA,
-                      None if s_prev is None else s_prev.ctypes.data, radius,
                       _AITKEN_WAIT, ctypes.byref(change))
     if sweeps < 0:
         raise MemoryError("the sweep kernel could not allocate its scratch")
     return res, sweeps, change.value
 
 
-def _gap_stop(g, res, u, uu, rad, bound, near):
+def _gap_stop(g, res, u, uu, rad, bound):
     """The stop test of a bounded call, as _sweep.c's gap_stop adds it."""
     d = u - res
     gmax = group_max(np.abs(res), g)
@@ -263,15 +241,10 @@ def _gap_stop(g, res, u, uu, rad, bound, near):
     if not P <= bound:
         return False
     G = P - (0.5 * uu - 0.5 * np.cumsum(res * res)[-1])
-    if G <= ETA * (bound - P):
-        return True
-    if near is None:
-        return False
-    e = res - near[0]
-    return np.sqrt(np.cumsum(e * e)[-1]) <= near[1]
+    return G <= ETA * (bound - P)
 
 
-def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
+def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound):
     res = u - _scatter_sum(xi, g)
     steps = [(cls, g.index_matrix[cls]) for cls in g.colors]
     change = np.inf
@@ -291,7 +264,7 @@ def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound, near):
             xi[cls] = new
         if change <= tol:
             break
-        if bound is not None and _gap_stop(g, res, u, uu, rad, bound, near):
+        if bound is not None and _gap_stop(g, res, u, uu, rad, bound):
             break
         since += 1
         r = change / last if last > 0.0 else np.inf

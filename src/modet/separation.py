@@ -64,16 +64,16 @@ def separate(
     structured prox. Each prox call gets as its bound the prox objective of
     the previous foreground at the new coefficients, so it stops once it
     has certified a descent of the cost (see ``modet.prox``), or on
-    ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. Once a ridge step moves
-    the coefficients by at most tau * p (not on the first call), the call
-    also gets the previous foreground and the radius tau * p, and stops
-    once its foreground is below the bound and that close to the previous
-    one: the separation then ends on its own test. A prox step that would
+    ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. A prox step that would
     raise the cost, which only a call stopped on ``PROX_TOL`` or on its cap
-    can return, is not taken: s stays, and ``prox_rejected`` counts it. Stops
-    when max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or after
+    can return, is not taken: s stays, and ``prox_rejected`` counts it.
+    Stops when max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or after
     ``MAX_SEP_ITERS`` iterations; a final_delta above tau flags the latter
-    for the caller.
+    for the caller. A ridge step that moves r by at most tau * p (not the
+    first) ends the frame at the new r and the same s with no prox call:
+    that pair passes the test, and the exact ridge step did not raise the
+    cost. After a rejected step the next ridge step repeats r, so the frame
+    ends there.
     """
     pix = d.pixels
     p = pix.size
@@ -103,14 +103,16 @@ def separate(
         nz = np.flatnonzero(s)
         r_new = np.linalg.solve(gram, rhs_pix - L[nz].T @ s[nz])
         u = pix - L @ r_new
+        dr = float(np.linalg.norm(r_new - r))
         # the cost at (r_new, s); less its ridge term, the prox objective
         # at s, which the prox step must not raise
         before = frame_cost(u - s, r_new, penalty, params)
-        bound = before - 0.5 * params.lambda1 * (r_new @ r_new)
-        dr = float(np.linalg.norm(r_new - r))
-        near = None
         if iters > 1 and dr / p <= params.tau:
-            near = (s, params.tau * p)
+            # (r_new, s) passes the stop test with s unchanged
+            r, delta = r_new, dr / p
+            trace.append(before)
+            break
+        bound = before - 0.5 * params.lambda1 * (r_new @ r_new)
         s_new, xi, sweeps, change = structured_prox_dual(
             u,
             g,
@@ -119,7 +121,6 @@ def separate(
             max_iters=MAX_PROX_ITERS,
             init=xi,
             bound=bound,
-            near=near,
         )
         sweeps_total += sweeps
         capped += int(sweeps >= MAX_PROX_ITERS and change > PROX_TOL)

@@ -325,32 +325,6 @@ class TestStructuredProx:
         _, _, _, change = structured_prox_dual(u, g, 0.16, bound=best)
         assert change <= 1e-8
 
-    def test_near_stop_ends_close_to_the_previous_foreground(self):
-        # the blob moves by a pixel; from the previous frame's dual, a call
-        # told that a foreground within the radius of the previous one ends
-        # the caller's iteration stops there, below its bound
-        g = build_grid_groups(64, 64)
-        prev, done, _, _ = structured_prox_dual(gaussian_blob(), g, 0.16,
-                                                tol=1e-12, max_iters=2000)
-        u = gaussian_blob(1)
-        bound = primal_objective(u, prev, g, 0.16)
-        full = structured_prox_dual(u, g, 0.16, init=done, bound=bound)
-        gap = np.linalg.norm(full[0] - prev)
-        for radius in (0.5 * gap, 2.0 * gap):
-            s, _, sweeps, _ = structured_prox_dual(
-                u, g, 0.16, init=done, bound=bound, near=(prev, radius))
-            assert primal_objective(u, s, g, 0.16) <= bound
-            assert sweeps <= full[2]
-            if sweeps < full[2]:  # the near test stopped it
-                assert np.sqrt(np.cumsum((s - prev) ** 2)[-1]) <= radius
-        assert sweeps < full[2]  # it did so at the larger radius
-        # a zero radius, or a bound no iterate meets, leaves the call as it
-        # was without the test
-        for b, radius in ((bound, 0.0), (-1.0, 10.0 * gap)):
-            want = prox_bytes(u, g, 0.16, init=done, bound=b)
-            assert prox_bytes(u, g, 0.16, init=done, bound=b,
-                              near=(prev, radius)) == want
-
     def test_calls_leave_the_structure_unchanged(self):
         # a structure is shared by every call of a stream: no call may add
         # or rewrite any of its state
@@ -378,13 +352,6 @@ class TestStructuredProx:
             structured_prox_dual(np.zeros(9), g, 0.3, init=np.zeros((3, 4)))
         with pytest.raises(ValueError):
             structured_prox_dual(np.zeros(9), g, 0.3, bound=np.nan)
-        for near in ((np.zeros(9), -1.0), (np.zeros(9), np.nan),
-                     (np.zeros(8), 1.0), (np.full(9, np.inf), 1.0)):
-            with pytest.raises(ValueError):
-                structured_prox_dual(np.zeros(9), g, 0.3, bound=1.0,
-                                     near=near)
-        with pytest.raises(ValueError):  # the test needs a bound
-            structured_prox_dual(np.zeros(9), g, 0.3, near=(np.zeros(9), 1.0))
 
 
 @pytest.mark.usefixtures("numpy_backend")
@@ -541,25 +508,17 @@ class TestBackends:
             best = primal_objective(u, structured_prox_dual(u, g, lam)[0], g,
                                     lam)
             bounds = (0.5 * (u @ u), best + 1e-3 * (0.5 * (u @ u) - best))
+            _, warm, _, _ = structured_prox_dual(u, g, lam, max_iters=2)
             # tol=0 keeps sweeping after the dual has settled, with nearly
             # every group left unchanged by its last visit
-            # previous foregrounds for the near test: an early iterate, at
-            # radii its later iterates reach, and one the bound never meets
-            early, warm, _, _ = structured_prox_dual(u, g, lam, max_iters=2)
-            dist = float(np.linalg.norm(early - u))
-            nears = [dict(bound=b, near=(early, f * dist))
-                     for b in (*bounds, -1.0) for f in (0.0, 0.01, 0.5)]
             for kw in (dict(), dict(tol=1e-12, max_iters=500),
                        dict(tol=0.0, max_iters=3), dict(tol=0.0, max_iters=300),
                        dict(bound=bounds[0]), dict(bound=bounds[1]),
-                       dict(tol=0.0, max_iters=300, bound=bounds[1]),
-                       *nears):
+                       dict(tol=0.0, max_iters=300, bound=bounds[1])):
                 c, numpy = self.both(monkeypatch,
                                      lambda: prox_bytes(u, g, lam, **kw))
                 assert c == numpy
-            for kw in (dict(), dict(bound=0.5 * 0.81 * (u @ u)),
-                       dict(bound=0.5 * 0.81 * (u @ u),
-                            near=(0.9 * early, 0.1 * dist))):
+            for kw in (dict(), dict(bound=0.5 * 0.81 * (u @ u))):
                 c, numpy = self.both(monkeypatch, lambda: prox_bytes(
                     u * 0.9, g, lam, init=warm, **kw))
                 assert c == numpy
@@ -572,8 +531,7 @@ class TestBackends:
                                              max_iters=2000)
         for u in (blob.ravel(), np.roll(blob, 1, axis=1).ravel()):
             for kw in (dict(), dict(tol=0.0, max_iters=50),
-                       dict(bound=0.5 * (u @ u)),
-                       dict(bound=0.5 * (u @ u), near=(blob.ravel(), 0.1))):
+                       dict(bound=0.5 * (u @ u))):
                 c, numpy = self.both(monkeypatch, lambda: prox_bytes(
                     u, g, 0.16, init=done, **kw))
                 assert c == numpy
@@ -612,9 +570,8 @@ class TestBackends:
 # Runs a kernel library given on the command line against the numpy sweeps
 # on random structures of one group size each, cold and warm-started, where
 # the extrapolation step fires, and on two sparse grids where a step is
-# sometimes followed by a rising change; each call without a bound, with
-# the bound P(0), where the gap test stops it, and with a previous
-# foreground under that bound and under one no iterate meets.
+# sometimes followed by a rising change; each call without a bound and
+# with the bound P(0), where the gap test stops it.
 ASAN_SCRIPT = """
 import ctypes, sys
 import numpy as np
@@ -640,10 +597,8 @@ for n, seed in ((12, 16), (16, 13)):
     cases.append((build_grid_groups(n, n),
                   r.normal(0, 0.3, n * n) * (r.random(n * n) < 0.3), 0.16, 60))
 for case, (g, u, lam, sweeps) in enumerate(cases):
-    early, warm, _, _ = prox.structured_prox_dual(u, g, lam, max_iters=2)
-    near = (early, 0.05 * float(np.linalg.norm(u - early)))
-    calls = (dict(), dict(bound=0.5 * (u @ u)),
-             dict(bound=0.5 * (u @ u), near=near), dict(bound=-1.0, near=near))
+    _, warm, _, _ = prox.structured_prox_dual(u, g, lam, max_iters=2)
+    calls = (dict(), dict(bound=0.5 * (u @ u)))
     out = []
     for kernel in (fn, None):
         prox._sweep_c = kernel
@@ -652,10 +607,9 @@ for case, (g, u, lam, sweeps) in enumerate(cases):
                 s, xi, n, change = prox.structured_prox_dual(
                     u, g, lam, tol=0.0, max_iters=sweeps, init=init, **kw)
                 out.append((s.tobytes(), xi.tobytes(), n, change))
-    if out[:8] != out[8:]:
+    if out[:4] != out[4:]:
         sys.exit(f"case {case}: the kernel and numpy differ")
-print(f"{len(cases)} cases bit-identical, with and without a bound and a "
-      "previous foreground")
+print(f"{len(cases)} cases bit-identical, with and without a bound")
 """
 
 
@@ -684,8 +638,7 @@ class TestKernelBuild:
                              timeout=600)
         assert run.returncode == 0, run.stderr[-4000:]
         assert run.stdout.strip() == ("52 cases bit-identical, with and "
-                                      "without a bound and a previous "
-                                      "foreground")
+                                      "without a bound")
 
     @needs_c
     def test_kernel_argtypes_match_the_c_prototype(self):

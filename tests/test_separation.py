@@ -8,6 +8,7 @@ from modet.groups import build_grid_groups
 from modet.io import SynthSpec, iter_sequence, synth_sequence, write_sequence_dir
 from modet.model import Frame, HyperParams
 from modet.pipeline import run_sequence
+from modet.prox import structured_prox_dual
 from modet.separation import ridge_solve, separate
 
 
@@ -196,8 +197,9 @@ class TestSeparate:
         assert res.final_delta > params.tau
 
     def test_capped_prox_calls_counted(self, monkeypatch):
-        # one sweep per prox call: every call on a frame with foreground
-        # stops at the cap with its dual still moving
+        # one sweep per prox call: the first call on a frame with foreground
+        # stops at the cap with its dual still moving, above its bound, and
+        # is rejected; the next ridge step repeats r and ends the frame
         rng = np.random.default_rng(0)
         g = build_grid_groups(8, 8)
         L = rng.normal(size=(64, 2)) / 8.0
@@ -206,8 +208,8 @@ class TestSeparate:
         d = Frame(L @ rng.normal(size=2) + s0.ravel(), 8, 8)
         monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 1)
         res = separate(d, L, g, make_params(64))
-        # one call of one sweep per iteration
-        assert res.prox_sweeps == res.prox_capped == res.iters
+        assert res.prox_sweeps == res.prox_capped == res.prox_rejected == 1
+        assert res.iters == 2
 
     def test_easy_frame_has_no_capped_prox_call(self):
         rng = np.random.default_rng(3)
@@ -238,8 +240,9 @@ class TestSeparate:
 
     def test_rejected_prox_steps_are_counted_and_keep_descent(self,
                                                             monkeypatch):
-        # two sweeps per prox call leave each call's foreground above its
-        # bound: the steps are not taken, s stays 0 and the trace is flat
+        # two sweeps per prox call leave the first call's foreground above
+        # its bound: the step is not taken, s stays 0, the next ridge step
+        # repeats r and ends the frame, and the trace is flat
         rng = np.random.default_rng(0)
         g = build_grid_groups(8, 8)
         L = rng.normal(size=(64, 2)) / 8.0
@@ -249,13 +252,42 @@ class TestSeparate:
         params = make_params(64)
         monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 2)
         res = separate(d, L, g, params)
-        assert res.prox_rejected == res.prox_capped == res.iters == 2
+        assert res.prox_rejected == res.prox_capped == 1
+        assert res.iters == 2
         assert not res.foreground.any()
         assert (np.diff(res.objective_trace) <= 1e-10).all()
         assert res.objective_trace[-1] == joint_objective(
             d.pixels, L, res.coeffs, res.foreground, g, params)
         monkeypatch.setattr(modet.separation, "MAX_PROX_ITERS", 200)
         assert separate(d, L, g, params).prox_rejected == 0
+
+    def test_frame_ends_without_a_prox_call_after_a_small_ridge_step(
+            self, monkeypatch):
+        # once a ridge step moves r by at most tau * p, (r_new, s) passes
+        # the stop test: the frame ends with no prox call and keeps the
+        # foreground of its last call
+        calls = []
+
+        def counted(*args, **kw):
+            out = structured_prox_dual(*args, **kw)
+            calls.append(out[0])
+            return out
+
+        monkeypatch.setattr(modet.separation, "structured_prox_dual", counted)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            g = build_grid_groups(8, 8)
+            L = rng.normal(size=(64, 2)) / 8.0
+            s0 = np.zeros((8, 8))
+            s0[1:4, 1:4] = rng.uniform(0.5, 1.0, (3, 3))
+            d = Frame(L @ rng.normal(size=2) + s0.ravel(), 8, 8)
+            params = make_params(64, lambda2=0.3)
+            calls.clear()
+            res = separate(d, L, g, params)
+            assert res.iters > 1 and res.final_delta <= params.tau
+            assert res.prox_rejected == 0 and res.foreground.any()
+            assert len(calls) == res.iters - 1
+            assert res.foreground.tobytes() == calls[-1].tobytes()
 
     def test_inexact_steps_end_close_to_tighter_ones(self, monkeypatch):
         # a 64x64 stream's basis frozen after 40 frames: on the next 10
