@@ -75,6 +75,14 @@ def read_frame_pgm(data: bytes, index: int = 0) -> Frame:
         raw = np.frombuffer(data, dtype=dt, count=count, offset=pos)
         samples = raw.astype(np.float64)
     else:
+        # a sample takes at least two bytes: whitespace and a digit
+        left = len(data) - pos
+        if 2 * count > left:
+            raise ValueError(
+                f"byte {len(data)}: truncated P2 payload (the {left} bytes "
+                f"to the end of data hold at most {left // 2} of {count} "
+                "samples)"
+            )
         samples = np.empty(count)
         for i in range(count):
             val, pos = _header_int(data, pos, "sample")

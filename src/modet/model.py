@@ -120,15 +120,16 @@ def init_subspace(p: int, params: HyperParams, seed: int) -> SubspaceModel:
 class SeparationResult:
     """Output of one frame's foreground/background separation.
 
-    ``background`` is always basis @ coeffs recomputed from the final
-    coefficients. ``objective_trace`` holds the per-frame cost after each
-    alternation, ``final_delta`` the last stop-criterion value (> tau only
-    when ``modet.separation.MAX_SEP_ITERS`` ran out). ``prox_sweeps`` sums
-    the dual sweeps of the frame's prox calls, one per iteration except a
-    last one whose ridge step ends the frame; ``prox_capped`` counts the
-    calls that hit ``modet.separation.MAX_PROX_ITERS`` with the dual change
-    still above ``modet.separation.PROX_TOL``, and ``prox_rejected`` the
-    prox steps not taken because they would have raised the frame cost.
+    ``coeffs`` is the last ridge step's solution and ``background`` is
+    basis @ coeffs from that step. ``objective_trace`` holds the per-frame
+    cost after each alternation, ``final_delta`` the last ridge step's
+    ||r_new - r||_2 / p (> tau only when ``modet.separation.MAX_SEP_ITERS``
+    ran out). ``prox_sweeps`` sums the dual sweeps of the frame's prox
+    calls, one per iteration except a last one whose ridge step ends the
+    frame; ``prox_capped`` counts the calls that hit
+    ``modet.separation.MAX_PROX_ITERS`` with the dual change still above
+    ``modet.separation.PROX_TOL``, and ``prox_rejected`` the prox steps not
+    taken because they would have raised the frame cost.
     """
 
     coeffs: np.ndarray

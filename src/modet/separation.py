@@ -2,7 +2,8 @@
 
 Each iteration solves the ridge problem for the subspace coefficients with
 the foreground fixed, then the structured prox for the foreground with the
-coefficients fixed, until the scaled change of both blocks drops below tau.
+coefficients fixed. A ridge step, not the first, that moves the
+coefficients by at most tau per pixel ends the frame.
 The solvers' budgets are module globals that ``separate`` reads at each
 call: ``MAX_SEP_ITERS``, and the prox budget ``PROX_TOL``/``MAX_PROX_ITERS``,
 which ``modet.prox`` defines and which this module imports under the same
@@ -17,7 +18,7 @@ from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
 from .prox import MAX_PROX_ITERS, PROX_TOL, structured_prox_dual
 
-MAX_SEP_ITERS = 100  # alternations per frame
+MAX_SEP_ITERS = 100  # alternations per frame, at least 1
 
 
 def ridge_solve(
@@ -67,13 +68,14 @@ def separate(
     ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. A prox step that would
     raise the cost, which only a call stopped on ``PROX_TOL`` or on its cap
     can return, is not taken: s stays, and ``prox_rejected`` counts it.
-    Stops when max(||r' - r''||_2, ||s' - s''||_2) / p <= tau or after
-    ``MAX_SEP_ITERS`` iterations; a final_delta above tau flags the latter
-    for the caller. A ridge step that moves r by at most tau * p (not the
-    first) ends the frame at the new r and the same s with no prox call:
-    that pair passes the test, and the exact ridge step did not raise the
-    cost. After a rejected step the next ridge step repeats r, so the frame
-    ends there.
+
+    The one stop test: a ridge step, not the first, with
+    ||r_new - r||_2 / p <= tau ends the frame at the new r and the same s
+    with no prox call. The exact ridge step did not raise the cost. After a
+    rejected step the next ridge step repeats r, so the frame ends there.
+    Otherwise the frame ends after ``MAX_SEP_ITERS`` iterations. Either way
+    final_delta is the last ridge step's ||r_new - r||_2 / p, so a value
+    above tau flags the cap for the caller.
     """
     pix = d.pixels
     p = pix.size
@@ -96,23 +98,21 @@ def separate(
     penalty = 0.0
     xi = None  # the prox's dual state, carried across its calls
     trace = []
-    delta = np.inf
-    iters = 0
     sweeps_total = capped = rejected = 0
     for iters in range(1, MAX_SEP_ITERS + 1):
         nz = np.flatnonzero(s)
         r_new = np.linalg.solve(gram, rhs_pix - L[nz].T @ s[nz])
-        u = pix - L @ r_new
-        dr = float(np.linalg.norm(r_new - r))
-        # the cost at (r_new, s); less its ridge term, the prox objective
-        # at s, which the prox step must not raise
-        before = frame_cost(u - s, r_new, penalty, params)
-        if iters > 1 and dr / p <= params.tau:
-            # (r_new, s) passes the stop test with s unchanged
-            r, delta = r_new, dr / p
+        background = L @ r_new
+        u = pix - background
+        delta = float(np.linalg.norm(r_new - r)) / p
+        r = r_new
+        # the cost at (r, s); less its ridge term, the prox objective at s,
+        # which the prox step must not raise
+        before = frame_cost(u - s, r, penalty, params)
+        if iters > 1 and delta <= params.tau:
             trace.append(before)
             break
-        bound = before - 0.5 * params.lambda1 * (r_new @ r_new)
+        bound = before - 0.5 * params.lambda1 * (r @ r)
         s_new, xi, sweeps, change = structured_prox_dual(
             u,
             g,
@@ -125,20 +125,18 @@ def separate(
         sweeps_total += sweeps
         capped += int(sweeps >= MAX_PROX_ITERS and change > PROX_TOL)
         penalty_new = params.lambda2 * omega_norm(s_new, g)
-        cost = frame_cost(u - s_new, r_new, penalty_new, params)
+        cost = frame_cost(u - s_new, r, penalty_new, params)
         if cost > before:
             rejected += 1
-            s_new, penalty_new, cost = s, penalty, before
-        delta = max(dr, float(np.linalg.norm(s_new - s))) / p
-        r, s, penalty = r_new, s_new, penalty_new
+            cost = before
+        else:
+            s, penalty = s_new, penalty_new
         trace.append(cost)
-        if delta <= params.tau:
-            break
 
     return SeparationResult(
         coeffs=r,
         foreground=s,
-        background=L @ r,
+        background=background,
         iters=iters,
         final_delta=delta,
         objective_trace=trace,

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .model import Frame, SeparationResult, SubspaceModel
+from .model import Frame, HyperParams, SeparationResult, SubspaceModel
 
 CHECKPOINT_MAGIC = b"MODETCKP"
 CHECKPOINT_VERSION = 1
@@ -108,7 +108,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (model, height, width, lambda1, lambda2)."""
+    """Read a checkpoint; returns (model, height, width, lambda1, lambda2).
+
+    A header that no model can have (a zero height, width or rank, or a
+    lambda that ``HyperParams`` would refuse) raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != CHECKPOINT_MAGIC:
@@ -121,6 +125,15 @@ def load_checkpoint(path):
     )
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    if height < 1 or width < 1:
+        raise ValueError(
+            f"checkpoint header: height and width must be >= 1, got "
+            f"{height}x{width}"
+        )
+    try:
+        HyperParams(lambda1=lam1, lambda2=lam2, rank=rank)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint header: {exc}") from None
     p = height * width
     need = 8 + head + (p * rank + rank * rank + p * rank) * 8
     if len(data) != need:

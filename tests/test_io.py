@@ -50,6 +50,15 @@ class TestPgmRead:
         with pytest.raises(ValueError, match="end of"):
             read_frame_pgm(b"P2\n2 2\n255\n1 2 3")
 
+    def test_p2_payload_too_short_for_its_header_is_rejected_first(self):
+        # a 1000000 x 1000000 header on a 7-byte payload raises before the
+        # decoder allocates its 7.28 TiB of samples
+        with pytest.raises(ValueError, match=r"byte 29: truncated P2 payload"):
+            read_frame_pgm(b"P2\n1000000 1000000\n255\n1 2 3\n")
+        # two bytes per sample is enough
+        assert read_frame_pgm(b"P2\n2 1\n255\n1 2").pixels.tolist() == [
+            1 / 255, 2 / 255]
+
     def test_p2_signed_samples_rejected(self):
         with pytest.raises(ValueError, match=r"byte 11: invalid sample b'-5'"):
             read_frame_pgm(b"P2\n2 1\n255\n-5 7\n")

@@ -620,12 +620,16 @@ class TestKernelBuild:
                               "-o", str(tmp_path / "strict.so"), str(_SOURCE),
                               "-lm"], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-        asan = subprocess.run(["cc", "-print-file-name=libasan.so"],
-                              capture_output=True, text=True).stdout.strip()
-        if not os.path.isabs(asan) or modet.prox._sweep_c is None:
-            pytest.skip("libasan or the C sweep kernel is missing")
+        asan, ubsan = (subprocess.run(
+            ["cc", f"-print-file-name={name}"], capture_output=True,
+            text=True).stdout.strip() for name in ("libasan.so", "libubsan.so"))
+        if not (os.path.isabs(asan) and os.path.isabs(ubsan)) \
+                or modet.prox._sweep_c is None:
+            pytest.skip("libasan, libubsan or the C sweep kernel is missing")
+        # undefined behaviour aborts the run like an address error
         lib = tmp_path / "asan.so"
-        subprocess.run(["cc", "-fsanitize=address", "-g", "-O1",
+        subprocess.run(["cc", "-fsanitize=address,undefined",
+                        "-fno-sanitize-recover=undefined", "-g", "-O1",
                         "-ffp-contract=off", "-fPIC", "-shared", "-o", str(lib),
                         str(_SOURCE), "-lm"], check=True, capture_output=True)
         src = str(Path(modet.__file__).resolve().parent.parent)

@@ -78,14 +78,26 @@ class TestRidgeSolve:
             ridge_solve(np.array([np.inf, 0.0]), np.zeros(2), np.ones((2, 1)), 0.1)
 
 
+def planted_block_frame():
+    """A 3x3 foreground block on a rank-3 background, with tau = 1e-14."""
+    rng = np.random.default_rng(9)
+    g = build_grid_groups(5, 5)
+    L = rng.normal(size=(25, 3))
+    s0 = np.zeros((5, 5))
+    s0[1:4, 1:4] = 3.0
+    d = Frame(L @ rng.normal(size=3) + s0.ravel(), 5, 5)
+    return d, L, g, make_params(25, rank=3, tau=1e-14)
+
+
 class TestSeparate:
     def test_zero_frame_converges_immediately(self):
         g = build_grid_groups(4, 4)
         params = make_params(16)
         rng = np.random.default_rng(2)
         L = rng.normal(size=(16, 2))
+        # the first ridge step never ends a frame; the second repeats r = 0
         res = separate(Frame(np.zeros(16), 4, 4), L, g, params)
-        assert res.iters == 1
+        assert res.iters == 2
         assert not res.coeffs.any()
         assert not res.foreground.any()
         assert res.final_delta == 0.0
@@ -182,19 +194,26 @@ class TestSeparate:
         assert np.abs(d.pixels - res.background - res.foreground).max() <= 10 * eps
 
     def test_budget_exhaustion_is_flagged_not_raised(self, monkeypatch):
-        # a 3x3 foreground block on a rank-3 background: the separation
-        # needs about 50 iterations to reach tau, so 2 leave it well short
-        rng = np.random.default_rng(9)
-        g = build_grid_groups(5, 5)
-        L = rng.normal(size=(25, 3))
-        s0 = np.zeros((5, 5))
-        s0[1:4, 1:4] = 3.0
-        d = Frame(L @ rng.normal(size=3) + s0.ravel(), 5, 5)
-        params = make_params(25, rank=3, tau=1e-14)
+        # the separation needs about 50 iterations to reach tau, so 2 leave
+        # it well short
+        d, L, g, params = planted_block_frame()
         monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", 2)
         res = separate(d, L, g, params)
         assert res.iters == 2
         assert res.final_delta > params.tau
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_capped_final_delta_is_the_last_ridge_move(self, monkeypatch, k):
+        # the planted block, cut at k and at k - 1 iterations:
+        # final_delta is the k-th ridge step's move of r, not a change of s
+        d, L, g, params = planted_block_frame()
+        monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", k - 1)
+        before = separate(d, L, g, params)
+        monkeypatch.setattr(modet.separation, "MAX_SEP_ITERS", k)
+        res = separate(d, L, g, params)
+        assert res.iters == k
+        assert res.final_delta == float(
+            np.linalg.norm(res.coeffs - before.coeffs)) / 25
 
     def test_capped_prox_calls_counted(self, monkeypatch):
         # one sweep per prox call: the first call on a frame with foreground

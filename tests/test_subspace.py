@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from modet.model import Frame, HyperParams, SeparationResult, SubspaceModel
 from modet.pipeline import SurrogateTracker
 from modet.separation import separate
 from modet.subspace import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     load_checkpoint,
     save_checkpoint,
     update_accumulators,
@@ -358,6 +361,27 @@ class TestCheckpoint:
         bad.write_bytes(bytes(raw[:-8]))
         with pytest.raises(ValueError, match="expected"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("height", 0), ("width", 0), ("rank", 0), ("lambda1", np.nan),
+        ("lambda1", 0.0), ("lambda2", -1.0), ("lambda2", np.inf)])
+    def test_rejects_a_header_no_model_can_have(self, tmp_path, field,
+                                                value):
+        # the payload is as long as the header asks, so only the header's
+        # values are wrong
+        head = {"height": 2, "width": 3, "rank": 2, "lambda1": 0.1,
+                "lambda2": 1.0}
+        head[field] = value
+        p, rank = head["height"] * head["width"], head["rank"]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC
+            + struct.pack("<IIIIQdd", CHECKPOINT_VERSION, head["height"],
+                          head["width"], rank, 0, head["lambda1"],
+                          head["lambda2"])
+            + bytes(8 * (2 * p * rank + rank * rank)))
+        with pytest.raises(ValueError, match="checkpoint header"):
+            load_checkpoint(path)
 
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
         rng = np.random.default_rng(20)
