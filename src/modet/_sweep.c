@@ -3,8 +3,9 @@
  * The groups are the rows of a dense index matrix of pixels in [0, p):
  * all have one width, res has p entries, and no entry is padding.
  *
- * A call first sets res = u - sum_g xi_g, adding the xi entries into a
- * zeroed res in index-matrix order, as np.bincount adds them. It then
+ * A call given scatter != 0 first sets res = u - sum_g xi_g, adding the xi
+ * entries into a zeroed res in index-matrix order, as np.bincount adds
+ * them; with scatter == 0 the caller has set res to that residual. It then
  * visits the groups in index order and repeats, operation for operation,
  * the floating-point arithmetic of prox._colored_sweeps:
  * a sequential row l1 sum, a descending sort (insertion sort: groups are
@@ -39,6 +40,10 @@
  * over the optimum P* is at most eta times its margin below the bound.
  * prox._colored_sweeps repeats all of this operation for operation, the
  * sums of the test included (sequential, in index order).
+ *
+ * Every call stores rad * Omega(res) at the returned res in *penalty_out:
+ * the gap test's own sum when that test ended the call, else the same loop
+ * (penalty below) run once more.
  */
 #include <math.h>
 #include <stdint.h>
@@ -63,18 +68,11 @@ static double put(double *x, double nw, double *res, int64_t i,
     return fabs(d);
 }
 
-/* The stop test of a bounded call at the current residual (see the top of
- * this file); uu is sum_i u_i^2. */
-static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
-                    const double *res, const double *u, int64_t p,
-                    double rad, double uu, double bound, double eta)
+/* sum_g rad * max_{i in g} |res_i|, added in index order. */
+static double penalty(const int64_t *idx, int64_t width, int64_t n_groups,
+                      const double *res, double rad)
 {
-    double dd = 0.0, rr = 0.0, om = 0.0;
-    for (int64_t i = 0; i < p; i++) {
-        double d = u[i] - res[i];
-        dd += d * d;
-        rr += res[i] * res[i];
-    }
+    double om = 0.0;
     for (int64_t g = 0; g < n_groups; g++) {
         const int64_t *ix = idx + g * width;
         double m = 0.0;
@@ -84,25 +82,44 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
         }
         om += rad * m;
     }
-    double P = 0.5 * dd + om;
+    return om;
+}
+
+/* The stop test of a bounded call at the current residual (see the top of
+ * this file); uu is sum_i u_i^2. Stores the penalty it sums in *om. */
+static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
+                    const double *res, const double *u, int64_t p,
+                    double rad, double uu, double bound, double eta,
+                    double *om)
+{
+    double dd = 0.0, rr = 0.0;
+    for (int64_t i = 0; i < p; i++) {
+        double d = u[i] - res[i];
+        dd += d * d;
+        rr += res[i] * res[i];
+    }
+    *om = penalty(idx, width, n_groups, res, rad);
+    double P = 0.5 * dd + *om;
     if (!(P <= bound)) return 0;
     double G = P - (0.5 * uu - 0.5 * rr);
     return G <= eta * (bound - P);
 }
 
-/* Sets res = u - sum_g xi_g, then sweeps until the largest dual change of a
- * sweep is <= tol, a bounded call's stop test holds or max_sweeps ran;
- * returns the sweeps run and stores the last sweep's change, or returns -1
- * when the scratch cannot be allocated. idx and xi are (n_groups, width)
- * row-major, and u is the prox input. A NaN bound skips the stop test.
- * wait is the Aitken step's constant.
+/* Sets res = u - sum_g xi_g when scatter is nonzero, then sweeps until the
+ * largest dual change of a sweep is <= tol, a bounded call's stop test
+ * holds or max_sweeps ran; returns the sweeps run and stores the last
+ * sweep's change and the penalty at res, or returns -1 when the scratch
+ * cannot be allocated. idx and xi are (n_groups, width) row-major, and u
+ * is the prox input. A NaN bound skips the stop test. wait is the Aitken
+ * step's constant.
  * The groups of one color class, a run of rows, are disjoint, so visiting
  * them one at a time gives what numpy's batched step over the class gives. */
 int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
-                    double *xi, double *res, const double *u, int64_t p,
-                    double rad, int64_t max_sweeps, double tol,
-                    double bound, double eta, int64_t wait,
-                    double *change_out)
+                    double *xi, double *res, int64_t scatter,
+                    const double *u, int64_t p, double rad,
+                    int64_t max_sweeps, double tol, double bound,
+                    double eta, int64_t wait, double *change_out,
+                    double *penalty_out)
 {
     int64_t n = n_groups * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
@@ -118,11 +135,13 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
     /* every group is visited in the first sweep, which sets its seen */
     memset(dirty, 1, (size_t)n_groups);
     memset(stamp, 0, (size_t)p * sizeof *stamp);
-    memset(res, 0, (size_t)p * sizeof *res);
-    for (int64_t e = 0; e < n; e++) res[idx[e]] += xi[e];
-    for (int64_t i = 0; i < p; i++) res[i] = u[i] - res[i];
-    int bounded = !isnan(bound);
-    double uu = 0.0;
+    if (scatter) {
+        memset(res, 0, (size_t)p * sizeof *res);
+        for (int64_t e = 0; e < n; e++) res[idx[e]] += xi[e];
+        for (int64_t i = 0; i < p; i++) res[i] = u[i] - res[i];
+    }
+    int bounded = !isnan(bound), stop = 0;
+    double uu = 0.0, om = 0.0;
     if (bounded)
         for (int64_t i = 0; i < p; i++) uu += u[i] * u[i];
 
@@ -182,8 +201,8 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
             }
         }
         if (change <= tol) break;
-        if (bounded && gap_stop(idx, width, n_groups, res, u, p, rad, uu,
-                                bound, eta))
+        if (bounded && (stop = gap_stop(idx, width, n_groups, res, u, p, rad,
+                                        uu, bound, eta, &om)))
             break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
@@ -206,5 +225,6 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
     }
     free(work);
     *change_out = change;
+    *penalty_out = stop ? om : penalty(idx, width, n_groups, res, rad);
     return sweeps;
 }

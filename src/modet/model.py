@@ -80,12 +80,18 @@ class SubspaceModel:
     ``accA`` accumulates coefficient outer products (r x r), ``accB``
     accumulates (frame - foreground) x coefficient outer products (p x r).
     Both start at zero and grow by one rank-1 term per processed frame.
+    ``gram`` is the next frame's Gram matrix basis^T basis, as
+    ``modet.subspace.basis_gram`` sums it: ``update_basis`` stores it, and
+    ``process_frame`` passes it to ``separate``. None, the default and what
+    ``init_subspace`` and ``load_checkpoint`` give, makes ``separate``
+    compute it; a caller that assigns ``basis`` must reset it to None.
     """
 
     basis: np.ndarray
     accA: np.ndarray
     accB: np.ndarray
     frames_seen: int = 0
+    gram: np.ndarray | None = None
 
     @property
     def p(self) -> int:

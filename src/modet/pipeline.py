@@ -100,13 +100,16 @@ def process_frame(
 ):
     """One step of the online loop; returns (model, FrameOutput).
 
-    Separates the frame against the current basis, folds the result into the
-    accumulators, then runs one basis sweep. The model is updated in place
+    Separates the frame against the current basis, with the Gram matrix
+    the last basis sweep carried (``separate`` computes it when the model
+    has none, as on the first frame or after a checkpoint load), folds the
+    result into the accumulators, then runs one basis sweep, which carries
+    the next frame's Gram matrix. The model is updated in place
     and returned. With a ``tracker``, the frame is folded into it too, and
     the output carries ``basis_delta`` and ``g_cost``.
     """
     t0 = time.perf_counter()
-    res = separate(d, model.basis, g, params)
+    res = separate(d, model.basis, g, params, gram=model.gram)
     update_accumulators(model, d, res)
     if tracker is not None:
         tracker.add(d, res, g, params)

@@ -46,9 +46,16 @@ makes; when that decrease vanishes, only the ``tol`` test can stop the
 call. Both backends add every sum of the test sequentially in index order,
 and recompute every group's max at each test, so they stay bit-identical.
 
-The kernel computes the starting residual u - sum_g xi_g itself, adding in
-``np.bincount``'s order. It reads the structure and writes nothing to it;
-its scratch is allocated per call.
+Every call returns lambda2 * Omega(s) at its returned s as well, summed
+sequentially in index order: after a gap stop it is the test's own sum,
+otherwise one more pass of the same loop. The caller need not sum it again.
+
+A call starts from the residual u - sum_g xi_g. A caller that carries the
+dual state across calls also knows that residual and may pass it; otherwise
+the kernel computes it, adding in ``np.bincount``'s order (a cold call
+starts from u itself, which is that sum's value bit for bit). The kernel
+reads the structure and writes nothing to it; its scratch is allocated per
+call.
 """
 
 from __future__ import annotations
@@ -140,8 +147,8 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
                     "sweeps: %s", path, exc)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ptr, i64, i64, ptr, ptr, ptr, i64, f64, i64, f64, f64, f64,
-                   i64, ptr]
+    fn.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, i64, f64, i64, f64, f64,
+                   f64, i64, ptr, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -182,8 +189,9 @@ def structured_prox_dual(
     max_iters: int = MAX_PROX_ITERS,
     init: np.ndarray | None = None,
     bound: float | None = None,
+    residual: np.ndarray | None = None,
 ):
-    """Solve the structured prox; return (s, xi, sweeps, last_change).
+    """Solve the structured prox; return (s, xi, sweeps, last_change, penalty).
 
     Cyclic block coordinate descent over the dual group variables, each block
     step an exact l1-ball projection of the current group residual. A sweep
@@ -192,9 +200,13 @@ def structured_prox_dual(
     ``max_iters`` sweeps. With a ``bound`` it also stops once the primal
     value is at most ``bound`` and the duality gap at most ``ETA`` times the
     margin (see the module docstring). ``s`` is the residual the sweeps kept,
-    the vector that test certified. ``xi`` is the dual state, one row per
-    group aligned with ``g.index_matrix``; passing a returned ``xi`` as
-    ``init`` warm-starts the dual variables.
+    the vector that test certified, and ``penalty`` is lambda2 * Omega(s),
+    summed sequentially in index order. ``xi`` is the dual state, one row
+    per group aligned with ``g.index_matrix``; passing a returned ``xi`` as
+    ``init`` warm-starts the dual variables. ``residual``, which needs
+    ``init``, must be u - sum_g init_g; the call then starts from it instead
+    of summing the dual. A float64 C-contiguous writable ``init`` or
+    ``residual`` is updated in place and returned as ``xi`` or ``s``.
     """
     u = np.asarray(u, dtype=np.float64).ravel()
     if u.size != g.p:
@@ -206,49 +218,67 @@ def structured_prox_dual(
     if bound is not None and not np.isfinite(bound):
         raise ValueError("bound must be finite")
 
-    if init is not None:
-        xi = np.array(init, dtype=np.float64, order="C")
+    if init is None:
+        if residual is not None:
+            raise ValueError("a residual needs the dual state it belongs to")
+        xi = np.zeros(g.index_matrix.shape)
+        res = u.copy()  # u - sum_g xi_g of the zero dual, bit for bit
+    else:
+        xi = np.require(init, np.float64, "CW")
         if xi.shape != g.index_matrix.shape:
             raise ValueError("warm-start dual state does not match the groups")
-    else:
-        xi = np.zeros(g.index_matrix.shape)
+        res = None  # the sweeps compute it
+        if residual is not None:
+            res = np.require(residual, np.float64, "CW")
+            if res.shape != u.shape or not np.all(np.isfinite(res)):
+                raise ValueError("the residual must be finite and as long as u")
 
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
-    res, sweeps, change = sweep(g, xi, u, float(lambda2), tol, int(max_iters),
-                                bound)
-    return res, xi, int(sweeps), float(change)
+    res, sweeps, change, penalty = sweep(g, xi, res, u, float(lambda2), tol,
+                                         int(max_iters), bound)
+    return res, xi, int(sweeps), float(change), float(penalty)
 
 
-def _c_sweeps(g, xi, u, rad, tol, max_iters, bound):
+def _c_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
     idx = g.index_matrix  # int64, C-contiguous, entries in [0, p)
-    res = np.empty(g.p)  # the kernel sets it to u - sum_g xi_g
-    change = ctypes.c_double()
+    scatter = res is None
+    if scatter:
+        res = np.empty(g.p)  # the kernel sets it to u - sum_g xi_g
+    change, penalty = ctypes.c_double(), ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.n_groups,
-                      xi.ctypes.data, res.ctypes.data, u.ctypes.data, g.p,
-                      rad, max_iters, tol,
+                      xi.ctypes.data, res.ctypes.data, scatter, u.ctypes.data,
+                      g.p, rad, max_iters, tol,
                       np.nan if bound is None else bound, ETA,
-                      _AITKEN_WAIT, ctypes.byref(change))
+                      _AITKEN_WAIT, ctypes.byref(change), ctypes.byref(penalty))
     if sweeps < 0:
         raise MemoryError("the sweep kernel could not allocate its scratch")
-    return res, sweeps, change.value
+    return res, sweeps, change.value, penalty.value
+
+
+def _penalty(g, res, rad):
+    """rad * Omega(res), as _sweep.c's penalty adds it."""
+    return np.cumsum(rad * group_max(np.abs(res), g))[-1]
 
 
 def _gap_stop(g, res, u, uu, rad, bound):
-    """The stop test of a bounded call, as _sweep.c's gap_stop adds it."""
+    """The stop test of a bounded call, as _sweep.c's gap_stop adds it;
+    returns whether it holds, and the penalty it summed."""
     d = u - res
-    gmax = group_max(np.abs(res), g)
-    P = 0.5 * np.cumsum(d * d)[-1] + np.cumsum(rad * gmax)[-1]
+    om = _penalty(g, res, rad)
+    P = 0.5 * np.cumsum(d * d)[-1] + om
     if not P <= bound:
-        return False
+        return False, om
     G = P - (0.5 * uu - 0.5 * np.cumsum(res * res)[-1])
-    return G <= ETA * (bound - P)
+    return G <= ETA * (bound - P), om
 
 
-def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound):
-    res = u - _scatter_sum(xi, g)
+def _colored_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
+    if res is None:
+        res = u - _scatter_sum(xi, g)
     steps = [(cls, g.index_matrix[cls]) for cls in g.colors]
     change = np.inf
     sweeps = 0
+    stop = False  # whether the gap test ended the call
     uu = None if bound is None else np.cumsum(u * u)[-1]
     # Aitken state, as in _sweep.c: the previous change, the plain sweeps
     # since the last step
@@ -264,8 +294,10 @@ def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound):
             xi[cls] = new
         if change <= tol:
             break
-        if bound is not None and _gap_stop(g, res, u, uu, rad, bound):
-            break
+        if bound is not None:
+            stop, om = _gap_stop(g, res, u, uu, rad, bound)
+            if stop:
+                break
         since += 1
         r = change / last if last > 0.0 else np.inf
         if since >= _AITKEN_WAIT and r < 1.0 and sweeps < max_iters:
@@ -278,4 +310,4 @@ def _colored_sweeps(g, xi, u, rad, tol, max_iters, bound):
             xi[rows] = new
             since = 0
         last = change
-    return res, sweeps, change
+    return res, sweeps, change, om if stop else _penalty(g, res, rad)

@@ -3,8 +3,10 @@ import pytest
 
 from conftest import surrogate_cost
 from modet.groups import build_grid_groups
-from modet.model import Frame, HyperParams, init_subspace
+from modet.io import SynthSpec, synth_sequence
+from modet.model import Frame, HyperParams, default_hyperparams, init_subspace
 from modet.pipeline import SurrogateTracker, process_frame, run_sequence
+from modet.subspace import load_checkpoint, save_checkpoint
 
 
 def make_setup(p=16, H=4, W=4, rank=2, seed=0):
@@ -158,3 +160,60 @@ def test_run_sequence_empty_source_raises():
 def test_run_sequence_rejects_bad_downsample():
     with pytest.raises(ValueError):
         run_sequence(iter(()), downsample=0)
+
+
+class TestCarriedGram:
+    """The Gram matrix the basis sweep carries changes no bit of a run."""
+
+    # 40x40: the basis pass runs over two blocks of rows
+    H = W = 40
+
+    def frames(self):
+        spec = SynthSpec(height=self.H, width=self.W, n_frames=8)
+        return list(synth_sequence(spec, 4)[0])
+
+    def run(self, frames, model=None, reset=False):
+        params = default_hyperparams(self.H * self.W)
+        g = build_grid_groups(self.H, self.W)
+        if model is None:
+            model = init_subspace(self.H * self.W, params, 0)
+        seps = []
+        for frame in frames:
+            if reset:
+                model.gram = None
+            model, out = process_frame(model, frame, g, params)
+            seps.append(out.separation.foreground.tobytes()
+                        + out.separation.coeffs.tobytes())
+        return model, seps
+
+    def checkpoint(self, path, model):
+        params = default_hyperparams(self.H * self.W)
+        save_checkpoint(path, model, self.H, self.W, params.lambda1,
+                        params.lambda2)
+        return path.read_bytes()
+
+    def test_recomputed_gram_gives_the_carried_bits(self, tmp_path):
+        frames = self.frames()
+        carried, seps = self.run(frames)
+        fresh, fresh_seps = self.run(frames, reset=True)
+        assert fresh_seps == seps
+        assert (self.checkpoint(tmp_path / "a", fresh)
+                == self.checkpoint(tmp_path / "b", carried))
+
+    def test_resume_from_a_checkpoint_gives_the_uninterrupted_bytes(
+            self, tmp_path):
+        frames = self.frames()
+        whole, seps = self.run(frames)
+        head, head_seps = self.run(frames[:3])
+        self.checkpoint(tmp_path / "k.ckpt", head)
+        loaded = load_checkpoint(tmp_path / "k.ckpt")[0]
+        assert loaded.gram is None
+        tail, tail_seps = self.run(frames[3:], model=loaded)
+        assert head_seps + tail_seps == seps
+        assert (self.checkpoint(tmp_path / "resumed", tail)
+                == self.checkpoint(tmp_path / "whole", whole))
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestCarriedGramNumpy(TestCarriedGram):
+    """The same cases on the numpy fallback of the prox sweeps."""

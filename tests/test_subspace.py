@@ -18,8 +18,10 @@ from modet.model import Frame, HyperParams, SeparationResult, SubspaceModel
 from modet.pipeline import SurrogateTracker
 from modet.separation import separate
 from modet.subspace import (
+    BLOCK_ROWS,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    basis_gram,
     load_checkpoint,
     save_checkpoint,
     update_accumulators,
@@ -182,6 +184,19 @@ class TestBasisUpdate:
         assert np.all(np.abs(deltas - ref_deltas)
                       <= 1e-12 * (np.abs(ref_deltas) + at_ii * p * scale ** 2)
                       + tiny)
+
+    def test_carries_the_gram_matrix_of_its_basis_bit_for_bit(self):
+        # one block, two blocks, and a partial last block
+        rng = np.random.default_rng(24)
+        for p in (7, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 5):
+            m = fresh_model(p, 3, rng)
+            Y = rng.normal(size=(3, 9))
+            m.accA = Y @ Y.T
+            m.accB = rng.normal(size=(p, 3))
+            for _ in range(2):
+                update_basis(m, lambda1=0.5)
+                assert m.gram.tobytes() == basis_gram(m.basis).tobytes()
+            assert np.abs(m.gram - m.basis.T @ m.basis).max() <= 1e-12 * p
 
     def test_foreground_absorbing_frame_shrinks_basis(self):
         rng = np.random.default_rng(7)
@@ -347,6 +362,34 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.ckpt"
         save_checkpoint(path2, again, h, w, l1, l2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           st.floats(), st.floats())
+    def test_save_writes_only_headers_that_load_accepts(self, tmp_path, H, W,
+                                                        rank, lam1, lam2):
+        m = SubspaceModel(basis=np.ones((H * W, rank)),
+                          accA=np.ones((rank, rank)),
+                          accB=np.ones((H * W, rank)))
+        path = tmp_path / "model.ckpt"
+        path.unlink(missing_ok=True)
+        try:
+            save_checkpoint(path, m, H, W, lam1, lam2)
+        except ValueError:
+            assert not path.exists()
+            return
+        again, h, w, l1, l2 = load_checkpoint(path)
+        assert (h, w, again.rank) == (H, W, rank)
+        assert (np.float64(l1).tobytes(), np.float64(l2).tobytes()) == (
+            np.float64(lam1).tobytes(), np.float64(lam2).tobytes())
+
+    def test_save_refuses_a_nan_lambda(self, tmp_path):
+        rng = np.random.default_rng(25)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="checkpoint header"):
+            save_checkpoint(path, fresh_model(6, 2, rng), 2, 3, np.nan, 1.0)
+        assert not path.exists()
 
     def test_rejects_corrupt_files(self, tmp_path):
         rng = np.random.default_rng(18)
