@@ -50,7 +50,10 @@
 #include <stdlib.h>
 #include <string.h>
 
-static int same_bits(double a, double b)
+/* Inlined into each caller, so that a constant width reaches the loops. */
+#define INLINE static inline __attribute__((always_inline))
+
+INLINE int same_bits(double a, double b)
 {
     return memcmp(&a, &b, sizeof a) == 0;
 }
@@ -58,7 +61,7 @@ static int same_bits(double a, double b)
 /* Writes nw into *x and moves res[i] by the difference, stamping res[i]
  * with tick when its bits change; returns |nw - *x|. When nw has *x's bits
  * the difference is +0.0, and res -= +0.0 changes no bit. */
-static double put(double *x, double nw, double *res, int64_t i,
+INLINE double put(double *x, double nw, double *res, int64_t i,
                   int64_t *stamp, int64_t tick)
 {
     double d = nw - *x, r = res[i] - d;
@@ -69,7 +72,7 @@ static double put(double *x, double nw, double *res, int64_t i,
 }
 
 /* sum_g rad * max_{i in g} |res_i|, added in index order. */
-static double penalty(const int64_t *idx, int64_t width, int64_t n_groups,
+INLINE double penalty(const int64_t *idx, int64_t width, int64_t n_groups,
                       const double *res, double rad)
 {
     double om = 0.0;
@@ -87,7 +90,7 @@ static double penalty(const int64_t *idx, int64_t width, int64_t n_groups,
 
 /* The stop test of a bounded call at the current residual (see the top of
  * this file); uu is sum_i u_i^2. Stores the penalty it sums in *om. */
-static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
+INLINE int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
                     const double *res, const double *u, int64_t p,
                     double rad, double uu, double bound, double eta,
                     double *om)
@@ -114,12 +117,12 @@ static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
  * step's constant.
  * The groups of one color class, a run of rows, are disjoint, so visiting
  * them one at a time gives what numpy's batched step over the class gives. */
-int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
-                    double *xi, double *res, int64_t scatter,
-                    const double *u, int64_t p, double rad,
-                    int64_t max_sweeps, double tol, double bound,
-                    double eta, int64_t wait, double *change_out,
-                    double *penalty_out)
+INLINE int64_t sweeps_of(const int64_t *idx, int64_t width,
+                         int64_t n_groups, double *xi, double *res,
+                         int64_t scatter, const double *u, int64_t p,
+                         double rad, int64_t max_sweeps, double tol,
+                         double bound, double eta, int64_t wait,
+                         double *change_out, double *penalty_out)
 {
     int64_t n = n_groups * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
@@ -227,4 +230,22 @@ int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
     *change_out = change;
     *penalty_out = stop ? om : penalty(idx, width, n_groups, res, rad);
     return sweeps;
+}
+
+/* sweeps_of, with the width of the grid's 3x3 windows as a constant when
+ * it is theirs, so the compiler unrolls the loops over a group. */
+int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
+                    double *xi, double *res, int64_t scatter,
+                    const double *u, int64_t p, double rad,
+                    int64_t max_sweeps, double tol, double bound,
+                    double eta, int64_t wait, double *change_out,
+                    double *penalty_out)
+{
+    if (width == 9)
+        return sweeps_of(idx, 9, n_groups, xi, res, scatter, u, p, rad,
+                         max_sweeps, tol, bound, eta, wait, change_out,
+                         penalty_out);
+    return sweeps_of(idx, width, n_groups, xi, res, scatter, u, p, rad,
+                     max_sweeps, tol, bound, eta, wait, change_out,
+                     penalty_out);
 }
