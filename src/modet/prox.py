@@ -76,8 +76,9 @@ log = logging.getLogger(__name__)
 
 _SOURCE = Path(__file__).with_name("_sweep.c")
 # No -march=native: the cached library must stay portable. No FMA
-# contraction: a fused multiply-add rounds differently from numpy. Unrolled
-# loops visit a grid window about 13% faster (the kernel fixes its width).
+# contraction: a fused multiply-add rounds differently from numpy.
+# -funroll-loops unrolls the loops over a group, whose width the kernel
+# fixes for the grid's 3x3 windows (see dual_sweeps).
 _CFLAGS = ("-O2", "-funroll-loops", "-fPIC", "-shared", "-ffp-contract=off")
 # The plain sweeps between two Aitken steps; both backends read it.
 _AITKEN_WAIT = 3
