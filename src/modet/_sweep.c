@@ -40,20 +40,13 @@
  * over the optimum P* is at most eta times its margin below the bound.
  * prox._colored_sweeps repeats all of this operation for operation, the
  * sums of the test included (sequential, in index order).
- *
- * Every call stores rad * Omega(res) at the returned res in *penalty_out:
- * the gap test's own sum when that test ended the call, else the same loop
- * (penalty below) run once more.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Inlined into each caller, so that a constant width reaches the loops. */
-#define INLINE static inline __attribute__((always_inline))
-
-INLINE int same_bits(double a, double b)
+static int same_bits(double a, double b)
 {
     return memcmp(&a, &b, sizeof a) == 0;
 }
@@ -61,7 +54,7 @@ INLINE int same_bits(double a, double b)
 /* Writes nw into *x and moves res[i] by the difference, stamping res[i]
  * with tick when its bits change; returns |nw - *x|. When nw has *x's bits
  * the difference is +0.0, and res -= +0.0 changes no bit. */
-INLINE double put(double *x, double nw, double *res, int64_t i,
+static double put(double *x, double nw, double *res, int64_t i,
                   int64_t *stamp, int64_t tick)
 {
     double d = nw - *x, r = res[i] - d;
@@ -71,11 +64,18 @@ INLINE double put(double *x, double nw, double *res, int64_t i,
     return fabs(d);
 }
 
-/* sum_g rad * max_{i in g} |res_i|, added in index order. */
-INLINE double penalty(const int64_t *idx, int64_t width, int64_t n_groups,
-                      const double *res, double rad)
+/* The stop test of a bounded call at the current residual (see the top of
+ * this file); uu is sum_i u_i^2. */
+static int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
+                    const double *res, const double *u, int64_t p,
+                    double rad, double uu, double bound, double eta)
 {
-    double om = 0.0;
+    double dd = 0.0, rr = 0.0, om = 0.0;
+    for (int64_t i = 0; i < p; i++) {
+        double d = u[i] - res[i];
+        dd += d * d;
+        rr += res[i] * res[i];
+    }
     for (int64_t g = 0; g < n_groups; g++) {
         const int64_t *ix = idx + g * width;
         double m = 0.0;
@@ -85,44 +85,25 @@ INLINE double penalty(const int64_t *idx, int64_t width, int64_t n_groups,
         }
         om += rad * m;
     }
-    return om;
-}
-
-/* The stop test of a bounded call at the current residual (see the top of
- * this file); uu is sum_i u_i^2. Stores the penalty it sums in *om. */
-INLINE int gap_stop(const int64_t *idx, int64_t width, int64_t n_groups,
-                    const double *res, const double *u, int64_t p,
-                    double rad, double uu, double bound, double eta,
-                    double *om)
-{
-    double dd = 0.0, rr = 0.0;
-    for (int64_t i = 0; i < p; i++) {
-        double d = u[i] - res[i];
-        dd += d * d;
-        rr += res[i] * res[i];
-    }
-    *om = penalty(idx, width, n_groups, res, rad);
-    double P = 0.5 * dd + *om;
+    double P = 0.5 * dd + om;
     if (!(P <= bound)) return 0;
     double G = P - (0.5 * uu - 0.5 * rr);
     return G <= eta * (bound - P);
 }
 
-/* Sets res = u - sum_g xi_g when scatter is nonzero, then sweeps until the
- * largest dual change of a sweep is <= tol, a bounded call's stop test
- * holds or max_sweeps ran; returns the sweeps run and stores the last
- * sweep's change and the penalty at res, or returns -1 when the scratch
- * cannot be allocated. idx and xi are (n_groups, width) row-major, and u
- * is the prox input. A NaN bound skips the stop test. wait is the Aitken
- * step's constant.
+/* Sets res = u - sum_g xi_g when scatter is nonzero, then sweeps until the largest dual change of a
+ * sweep is <= tol, a bounded call's stop test holds or max_sweeps ran;
+ * returns the sweeps run and stores the last sweep's change, or returns -1
+ * when the scratch cannot be allocated. idx and xi are (n_groups, width)
+ * row-major, and u is the prox input. A NaN bound skips the stop test.
+ * wait is the Aitken step's constant.
  * The groups of one color class, a run of rows, are disjoint, so visiting
  * them one at a time gives what numpy's batched step over the class gives. */
-INLINE int64_t sweeps_of(const int64_t *idx, int64_t width,
-                         int64_t n_groups, double *xi, double *res,
-                         int64_t scatter, const double *u, int64_t p,
-                         double rad, int64_t max_sweeps, double tol,
-                         double bound, double eta, int64_t wait,
-                         double *change_out, double *penalty_out)
+int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
+                    double *xi, double *res, int64_t scatter,
+                    const double *u, int64_t p, double rad,
+                    int64_t max_sweeps, double tol, double bound,
+                    double eta, int64_t wait, double *change_out)
 {
     int64_t n = n_groups * width;
     /* the visit's 4 work rows; each changed row's pre-sweep copy (prev);
@@ -143,8 +124,8 @@ INLINE int64_t sweeps_of(const int64_t *idx, int64_t width,
         for (int64_t e = 0; e < n; e++) res[idx[e]] += xi[e];
         for (int64_t i = 0; i < p; i++) res[i] = u[i] - res[i];
     }
-    int bounded = !isnan(bound), stop = 0;
-    double uu = 0.0, om = 0.0;
+    int bounded = !isnan(bound);
+    double uu = 0.0;
     if (bounded)
         for (int64_t i = 0; i < p; i++) uu += u[i] * u[i];
 
@@ -204,8 +185,8 @@ INLINE int64_t sweeps_of(const int64_t *idx, int64_t width,
             }
         }
         if (change <= tol) break;
-        if (bounded && (stop = gap_stop(idx, width, n_groups, res, u, p, rad,
-                                        uu, bound, eta, &om)))
+        if (bounded && gap_stop(idx, width, n_groups, res, u, p, rad, uu,
+                                bound, eta))
             break;
         since++;
         double r = last > 0.0 ? change / last : INFINITY;
@@ -228,24 +209,5 @@ INLINE int64_t sweeps_of(const int64_t *idx, int64_t width,
     }
     free(work);
     *change_out = change;
-    *penalty_out = stop ? om : penalty(idx, width, n_groups, res, rad);
     return sweeps;
-}
-
-/* sweeps_of, with the width of the grid's 3x3 windows as a constant when
- * it is theirs, so the compiler unrolls the loops over a group. */
-int64_t dual_sweeps(const int64_t *idx, int64_t width, int64_t n_groups,
-                    double *xi, double *res, int64_t scatter,
-                    const double *u, int64_t p, double rad,
-                    int64_t max_sweeps, double tol, double bound,
-                    double eta, int64_t wait, double *change_out,
-                    double *penalty_out)
-{
-    if (width == 9)
-        return sweeps_of(idx, 9, n_groups, xi, res, scatter, u, p, rad,
-                         max_sweeps, tol, bound, eta, wait, change_out,
-                         penalty_out);
-    return sweeps_of(idx, width, n_groups, xi, res, scatter, u, p, rad,
-                     max_sweeps, tol, bound, eta, wait, change_out,
-                     penalty_out);
 }

@@ -18,8 +18,7 @@ from .model import (
     init_subspace,
 )
 from .separation import frame_cost, separate
-from .subspace import (basis_gram, save_checkpoint, update_accumulators,
-                       update_basis)
+from .subspace import save_checkpoint, update_accumulators, update_basis
 
 
 @dataclass
@@ -61,8 +60,7 @@ class SurrogateTracker:
     The cost over the frozen history decomposes into the accumulator
     matrices plus one scalar: the per-frame cost with the background left
     out of the residual, summed once per frame. Matches the evaluation over
-    the stored history to rounding. ``value`` takes L^T L from
-    ``model.gram`` when ``update_basis`` has carried it.
+    the stored history to rounding.
     """
 
     def __init__(self):
@@ -87,10 +85,9 @@ class SurrogateTracker:
         if t == 0:
             raise ValueError("no frames folded in yet")
         L = model.basis
-        G = model.gram if model.gram is not None else basis_gram(L)
-        quad = 0.5 * float(np.sum(G * model.accA))
+        quad = 0.5 * float(np.sum((L.T @ L) * model.accA))
         cross = float(np.sum(L * model.accB))
-        reg = 0.5 * params.lambda1 * float(np.trace(G))
+        reg = 0.5 * params.lambda1 * float(np.sum(L * L))
         return (self.const - cross + quad + reg) / t
 
 

@@ -46,10 +46,6 @@ makes; when that decrease vanishes, only the ``tol`` test can stop the
 call. Both backends add every sum of the test sequentially in index order,
 and recompute every group's max at each test, so they stay bit-identical.
 
-Every call returns lambda2 * Omega(s) at its returned s as well, summed
-sequentially in index order: after a gap stop it is the test's own sum,
-otherwise one more pass of the same loop. The caller need not sum it again.
-
 A call starts from the residual u - sum_g xi_g. A caller that carries the
 dual state across calls also knows that residual and may pass it; otherwise
 the kernel computes it, adding in ``np.bincount``'s order (a cold call
@@ -77,9 +73,7 @@ log = logging.getLogger(__name__)
 _SOURCE = Path(__file__).with_name("_sweep.c")
 # No -march=native: the cached library must stay portable. No FMA
 # contraction: a fused multiply-add rounds differently from numpy.
-# -funroll-loops unrolls the loops over a group, whose width the kernel
-# fixes for the grid's 3x3 windows (see dual_sweeps).
-_CFLAGS = ("-O2", "-funroll-loops", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # The plain sweeps between two Aitken steps; both backends read it.
 _AITKEN_WAIT = 3
 # The duality-gap stop of a bounded call: the gap's share of the decrease.
@@ -150,7 +144,7 @@ def _load_kernel(source: Path = _SOURCE, cache_dir=None, cc: str = "cc"):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = [ptr, i64, i64, ptr, ptr, i64, ptr, i64, f64, i64, f64, f64,
-                   f64, i64, ptr, ptr]
+                   f64, i64, ptr]
     fn.restype = i64
     log.info("prox backend: C sweep kernel %s", path)
     return fn
@@ -193,7 +187,7 @@ def structured_prox_dual(
     bound: float | None = None,
     residual: np.ndarray | None = None,
 ):
-    """Solve the structured prox; return (s, xi, sweeps, last_change, penalty).
+    """Solve the structured prox; return (s, xi, sweeps, last_change).
 
     Cyclic block coordinate descent over the dual group variables, each block
     step an exact l1-ball projection of the current group residual. A sweep
@@ -202,9 +196,8 @@ def structured_prox_dual(
     ``max_iters`` sweeps. With a ``bound`` it also stops once the primal
     value is at most ``bound`` and the duality gap at most ``ETA`` times the
     margin (see the module docstring). ``s`` is the residual the sweeps kept,
-    the vector that test certified, and ``penalty`` is lambda2 * Omega(s),
-    summed sequentially in index order. ``xi`` is the dual state, one row
-    per group aligned with ``g.index_matrix``; passing a returned ``xi`` as
+    the vector that test certified. ``xi`` is the dual state, one row per
+    group aligned with ``g.index_matrix``; passing a returned ``xi`` as
     ``init`` warm-starts the dual variables. ``residual``, which needs
     ``init``, must be u - sum_g init_g; the call then starts from it instead
     of summing the dual. A float64 C-contiguous writable ``init`` or
@@ -236,9 +229,9 @@ def structured_prox_dual(
                 raise ValueError("the residual must be finite and as long as u")
 
     sweep = _colored_sweeps if _sweep_c is None else _c_sweeps
-    res, sweeps, change, penalty = sweep(g, xi, res, u, float(lambda2), tol,
-                                         int(max_iters), bound)
-    return res, xi, int(sweeps), float(change), float(penalty)
+    res, sweeps, change = sweep(g, xi, res, u, float(lambda2), tol,
+                                int(max_iters), bound)
+    return res, xi, int(sweeps), float(change)
 
 
 def _c_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
@@ -246,32 +239,26 @@ def _c_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
     scatter = res is None
     if scatter:
         res = np.empty(g.p)  # the kernel sets it to u - sum_g xi_g
-    change, penalty = ctypes.c_double(), ctypes.c_double()
+    change = ctypes.c_double()
     sweeps = _sweep_c(idx.ctypes.data, idx.shape[1], g.n_groups,
                       xi.ctypes.data, res.ctypes.data, scatter, u.ctypes.data,
                       g.p, rad, max_iters, tol,
                       np.nan if bound is None else bound, ETA,
-                      _AITKEN_WAIT, ctypes.byref(change), ctypes.byref(penalty))
+                      _AITKEN_WAIT, ctypes.byref(change))
     if sweeps < 0:
         raise MemoryError("the sweep kernel could not allocate its scratch")
-    return res, sweeps, change.value, penalty.value
-
-
-def _penalty(g, res, rad):
-    """rad * Omega(res), as _sweep.c's penalty adds it."""
-    return np.cumsum(rad * group_max(np.abs(res), g))[-1]
+    return res, sweeps, change.value
 
 
 def _gap_stop(g, res, u, uu, rad, bound):
-    """The stop test of a bounded call, as _sweep.c's gap_stop adds it;
-    returns whether it holds, and the penalty it summed."""
+    """The stop test of a bounded call, as _sweep.c's gap_stop adds it."""
     d = u - res
-    om = _penalty(g, res, rad)
-    P = 0.5 * np.cumsum(d * d)[-1] + om
+    gmax = group_max(np.abs(res), g)
+    P = 0.5 * np.cumsum(d * d)[-1] + np.cumsum(rad * gmax)[-1]
     if not P <= bound:
-        return False, om
+        return False
     G = P - (0.5 * uu - 0.5 * np.cumsum(res * res)[-1])
-    return G <= ETA * (bound - P), om
+    return G <= ETA * (bound - P)
 
 
 def _colored_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
@@ -280,7 +267,6 @@ def _colored_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
     steps = [(cls, g.index_matrix[cls]) for cls in g.colors]
     change = np.inf
     sweeps = 0
-    stop = False  # whether the gap test ended the call
     uu = None if bound is None else np.cumsum(u * u)[-1]
     # Aitken state, as in _sweep.c: the previous change, the plain sweeps
     # since the last step
@@ -296,10 +282,8 @@ def _colored_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
             xi[cls] = new
         if change <= tol:
             break
-        if bound is not None:
-            stop, om = _gap_stop(g, res, u, uu, rad, bound)
-            if stop:
-                break
+        if bound is not None and _gap_stop(g, res, u, uu, rad, bound):
+            break
         since += 1
         r = change / last if last > 0.0 else np.inf
         if since >= _AITKEN_WAIT and r < 1.0 and sweeps < max_iters:
@@ -312,4 +296,4 @@ def _colored_sweeps(g, xi, res, u, rad, tol, max_iters, bound):
             xi[rows] = new
             since = 0
         last = change
-    return res, sweeps, change, om if stop else _penalty(g, res, rad)
+    return res, sweeps, change

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import GroupStructure, omega_norm  # noqa: F401 (kept for tracers)
+from .groups import GroupStructure, omega_norm
 from .model import Frame, HyperParams, SeparationResult
 from .prox import MAX_PROX_ITERS, PROX_TOL, structured_prox_dual
 from .subspace import basis_gram
@@ -78,11 +78,11 @@ def separate(d: Frame, L: np.ndarray, g: GroupStructure, params: HyperParams,
     carries it; None computes it. Each prox call gets as its bound the prox
     objective of the previous foreground at the new coefficients, so it
     stops once it has certified a descent of the cost (see ``modet.prox``),
-    or on ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. It returns its
-    penalty lambda2*Omega(s), and starts from the previous call's dual and
-    residual, moved by the change of u. A prox step that would raise the
-    cost, which only a call stopped on ``PROX_TOL`` or on its cap can
-    return, is not taken: s stays, and ``prox_rejected`` counts it.
+    or on ``PROX_TOL`` or after ``MAX_PROX_ITERS`` sweeps. It starts from
+    the previous call's dual and residual, moved by the change of u. A prox
+    step that would raise the cost, which only a call stopped on
+    ``PROX_TOL`` or on its cap can return, is not taken: s stays, and
+    ``prox_rejected`` counts it.
 
     The one stop test: a ridge step, not the first, with
     ||r_new - r||_2 / p <= tau ends the frame at the new r and the same s
@@ -124,13 +124,14 @@ def separate(d: Frame, L: np.ndarray, g: GroupStructure, params: HyperParams,
             trace.append(before)
             break
         bound = before - 0.5 * params.lambda1 * (r @ r)
-        s_new, xi, sweeps, change, penalty_new = structured_prox_dual(
+        s_new, xi, sweeps, change = structured_prox_dual(
             u, g, params.lambda2, tol=PROX_TOL, max_iters=MAX_PROX_ITERS,
             init=xi, bound=bound,
             residual=None if xi is None else res_last + (u - u_last))
         res_last, u_last = s_new, u
         sweeps_total += sweeps
         capped += int(sweeps >= MAX_PROX_ITERS and change > PROX_TOL)
+        penalty_new = params.lambda2 * omega_norm(s_new, g)
         cost = frame_cost(u - s_new, r, penalty_new, params)
         if cost > before:
             rejected += 1

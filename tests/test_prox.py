@@ -249,7 +249,7 @@ class TestStructuredProx:
         g = two_group_structure()
         rng = np.random.default_rng(7)
         u = rng.uniform(-1, 1, 9)
-        s, xi, _, _, _ = structured_prox_dual(u, g, 0.4)
+        s, xi, _, _ = structured_prox_dual(u, g, 0.4)
         scatter = np.zeros(10)
         np.add.at(scatter, g.index_matrix.ravel(), xi.ravel())
         assert np.abs(s - (u - scatter[:9])).max() < 1e-12
@@ -276,7 +276,7 @@ class TestStructuredProx:
         u = rng.uniform(-1, 1, 25)
         objs = []
         for k in range(1, 13):
-            s = structured_prox_dual(u, g, 0.2, tol=0.0, max_iters=k)[0]
+            s, _, _, _ = structured_prox_dual(u, g, 0.2, tol=0.0, max_iters=k)
             objs.append(0.5 * np.sum(s**2))  # s = u - sum_g xi_g
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
 
@@ -285,11 +285,11 @@ class TestStructuredProx:
         rng = np.random.default_rng(11)
         u1 = rng.uniform(-1, 1, 9)
         u2 = u1 + 0.05 * rng.normal(size=9)
-        xi = structured_prox_dual(u1, g, 0.3, tol=1e-11, max_iters=5000)[1]
-        warm = structured_prox_dual(
+        _, xi, _, _ = structured_prox_dual(u1, g, 0.3, tol=1e-11, max_iters=5000)
+        warm, _, _, _ = structured_prox_dual(
             u2, g, 0.3, tol=1e-11, max_iters=5000, init=xi
-        )[0]
-        cold = structured_prox_dual(u2, g, 0.3, tol=1e-11, max_iters=5000)[0]
+        )
+        cold, _, _, _ = structured_prox_dual(u2, g, 0.3, tol=1e-11, max_iters=5000)
         assert np.abs(warm - cold).max() < 1e-8
 
     def test_reaches_plain_sweeps_fixed_point_in_fewer_sweeps(self):
@@ -297,13 +297,13 @@ class TestStructuredProx:
         # over tens of sweeps, so the extrapolation step fires
         g = build_grid_groups(64, 64)
         lam2, tol = 0.16, 1e-8
-        done = structured_prox_dual(gaussian_blob(), g, lam2, tol=1e-12,
-                                    max_iters=5000)[1]
+        _, done, _, _ = structured_prox_dual(gaussian_blob(), g, lam2,
+                                             tol=1e-12, max_iters=5000)
         for u, init in ((gaussian_blob(), None), (gaussian_blob(1), done)):
             fixed, _ = plain_bcd(u, g, lam2, tol=1e-14, init=init)
             plain, plain_sweeps = plain_bcd(u, g, lam2, tol=tol, init=init)
-            s, _, sweeps, change, _ = structured_prox_dual(u, g, lam2, tol=tol,
-                                                           init=init)
+            s, _, sweeps, change = structured_prox_dual(u, g, lam2, tol=tol,
+                                                        init=init)
             assert change <= tol
             assert np.abs(plain - fixed).max() <= 10 * tol
             assert np.abs(s - fixed).max() <= 10 * tol
@@ -312,19 +312,18 @@ class TestStructuredProx:
     def test_bound_stops_early_with_a_certified_descent(self):
         g = build_grid_groups(64, 64)
         u = gaussian_blob()
-        ref, _, full_sweeps, _, _ = structured_prox_dual(u, g, 0.16,
-                                                         tol=1e-12,
-                                                         max_iters=2000)
+        ref, _, full_sweeps, _ = structured_prox_dual(u, g, 0.16, tol=1e-12,
+                                                      max_iters=2000)
         best = primal_objective(u, ref, g, 0.16)
         for bound in (0.5 * (u @ u), best + 0.01 * (0.5 * (u @ u) - best)):
-            s, _, sweeps, change, _ = structured_prox_dual(u, g, 0.16,
+            s, _, sweeps, change = structured_prox_dual(u, g, 0.16,
                                                         bound=bound)
             assert change > 1e-8 and sweeps < full_sweeps  # the gap stopped it
             value = primal_objective(u, s, g, 0.16)
             assert value <= bound
             assert value - best <= ETA * (bound - value) + 1e-12
         # a bound at the optimum leaves the gap test unmet: tol stops the call
-        change = structured_prox_dual(u, g, 0.16, bound=best)[3]
+        _, _, _, change = structured_prox_dual(u, g, 0.16, bound=best)
         assert change <= 1e-8
 
     def test_calls_leave_the_structure_unchanged(self):
@@ -342,22 +341,11 @@ class TestStructuredProx:
                 structured_prox_dual(u, g, 0.2, **kw)
             assert state(g) == before
 
-    def test_penalty_is_lambda2_omega_of_the_returned_s(self):
-        # every way a call stops: the gap test, tol, the cap, no sweep
-        rng = np.random.default_rng(21)
-        for g in (build_grid_groups(12, 10), random_structure(rng, 40, 6)):
-            u = rng.normal(0, 0.3, g.p)
-            for kw in (dict(), dict(bound=0.5 * (u @ u)),
-                       dict(tol=0.0, max_iters=3), dict(max_iters=0)):
-                s, _, _, _, penalty = structured_prox_dual(u, g, 0.2, **kw)
-                assert penalty == pytest.approx(0.2 * omega_norm(s, g),
-                                                rel=1e-12, abs=0)
-
     def test_exact_residual_gives_the_same_bits(self):
         rng = np.random.default_rng(22)
         g = build_grid_groups(12, 10)
         u = rng.normal(0, 0.3, g.p)
-        warm = structured_prox_dual(u, g, 0.2, max_iters=2)[1]
+        _, warm, _, _ = structured_prox_dual(u, g, 0.2, max_iters=2)
         v = u * 0.9
         for kw in (dict(), dict(bound=0.5 * (v @ v)), dict(max_iters=0)):
             given = prox_bytes(v, g, 0.2, init=warm.copy(),
@@ -370,8 +358,7 @@ class TestStructuredProx:
         u = rng.normal(0, 0.3, g.p)
         xi = np.zeros(g.index_matrix.shape)
         res = u.copy()  # the residual of the zero dual
-        s, out, _, _, _ = structured_prox_dual(u, g, 0.2, init=xi,
-                                               residual=res)
+        s, out, _, _ = structured_prox_dual(u, g, 0.2, init=xi, residual=res)
         assert out is xi and s is res and xi.any()
 
     def test_rejects_bad_inputs(self):
@@ -426,7 +413,7 @@ def test_bounded_prox_stops_below_its_bound_near_the_optimum(case, frac):
     try:
         for backend in (kernel, None):  # C (when built), then numpy
             modet.prox._sweep_c = backend
-            s, _, sweeps, change, _ = structured_prox_dual(u, g, lam2,
+            s, _, sweeps, change = structured_prox_dual(u, g, lam2,
                                                         bound=bound)
             if change <= 1e-8 or sweeps >= 200:
                 continue  # stopped on tol or on the cap
@@ -453,7 +440,7 @@ def test_a_call_never_returns_an_extrapolated_state(case):
             out = []
             for backend in (kernel, None):  # C (when built), then numpy
                 modet.prox._sweep_c = backend
-                s, xi, _, _, _ = structured_prox_dual(u, g, lam2, tol=0.0,
+                s, xi, _, _ = structured_prox_dual(u, g, lam2, tol=0.0,
                                                    max_iters=max_iters)
                 assert (np.abs(xi).sum(axis=1) <= lam2 * (1 + 1e-12)).all()
                 scatter = np.zeros(g.p)
@@ -491,8 +478,8 @@ def random_structure(rng, p, k):
 
 
 def prox_bytes(*args, **kw):
-    s, xi, sweeps, change, penalty = structured_prox_dual(*args, **kw)
-    return s.tobytes(), xi.tobytes(), sweeps, change, penalty
+    s, xi, sweeps, change = structured_prox_dual(*args, **kw)
+    return s.tobytes(), xi.tobytes(), sweeps, change
 
 
 @needs_c
@@ -548,7 +535,7 @@ class TestBackends:
             best = primal_objective(u, structured_prox_dual(u, g, lam)[0], g,
                                     lam)
             bounds = (0.5 * (u @ u), best + 1e-3 * (0.5 * (u @ u) - best))
-            warm = structured_prox_dual(u, g, lam, max_iters=2)[1]
+            _, warm, _, _ = structured_prox_dual(u, g, lam, max_iters=2)
             # tol=0 keeps sweeping after the dual has settled, with nearly
             # every group left unchanged by its last visit
             for kw in (dict(), dict(tol=1e-12, max_iters=500),
@@ -567,8 +554,8 @@ class TestBackends:
         g = build_grid_groups(64, 64)
         blob = np.zeros((64, 64))
         blob[30:35, 20:25] = 1.0
-        done = structured_prox_dual(blob.ravel(), g, 0.16, tol=0.0,
-                                    max_iters=2000)[1]
+        _, done, _, _ = structured_prox_dual(blob.ravel(), g, 0.16, tol=0.0,
+                                             max_iters=2000)
         for u in (blob.ravel(), np.roll(blob, 1, axis=1).ravel()):
             for kw in (dict(), dict(tol=0.0, max_iters=50),
                        dict(bound=0.5 * (u @ u))):
@@ -612,7 +599,7 @@ class TestBackends:
 # and without the residual of the warm dual), where the extrapolation step
 # fires, and on two sparse grids where a step is sometimes followed by a
 # rising change; each call without a bound and with the bound P(0), where
-# the gap test stops it. Every output is compared, the penalty included.
+# the gap test stops it.
 ASAN_SCRIPT = """
 import ctypes, sys
 import numpy as np
@@ -638,7 +625,7 @@ for n, seed in ((12, 16), (16, 13)):
     cases.append((build_grid_groups(n, n),
                   r.normal(0, 0.3, n * n) * (r.random(n * n) < 0.3), 0.16, 60))
 for case, (g, u, lam, sweeps) in enumerate(cases):
-    warm = prox.structured_prox_dual(u, g, lam, max_iters=2)[1]
+    _, warm, _, _ = prox.structured_prox_dual(u, g, lam, max_iters=2)
     starts = ((None, None), (warm, None), (warm, u - prox._scatter_sum(warm, g)))
     calls = (dict(), dict(bound=0.5 * (u @ u)))
     out = []
@@ -646,13 +633,12 @@ for case, (g, u, lam, sweeps) in enumerate(cases):
         prox._sweep_c = kernel
         for init, residual in starts:
             for kw in calls:
-                out.append(prox.structured_prox_dual(
+                s, xi, n, change = prox.structured_prox_dual(
                     u, g, lam, tol=0.0, max_iters=sweeps,
                     init=None if init is None else init.copy(),
                     residual=None if residual is None else residual.copy(),
-                    **kw))
-    out = [(s.tobytes(), xi.tobytes(), n, change, penalty)
-           for s, xi, n, change, penalty in out]
+                    **kw)
+                out.append((s.tobytes(), xi.tobytes(), n, change))
     if out[:6] != out[6:]:
         sys.exit(f"case {case}: the kernel and numpy differ")
     if out[2:4] != out[4:6]:

@@ -9,7 +9,7 @@ from modet.io import SynthSpec, iter_sequence, synth_sequence, write_sequence_di
 from modet.model import Frame, HyperParams
 from modet.pipeline import run_sequence
 from modet.prox import structured_prox_dual
-from modet.separation import frame_cost, ridge_solve, separate
+from modet.separation import ridge_solve, separate
 
 
 def make_params(p, **kw):
@@ -159,10 +159,7 @@ class TestSeparate:
         assert (np.diff(trace) <= 1e-10).all()
 
     def test_trace_ends_at_joint_objective(self):
-        # the trace is the one cost function at the result, with the penalty
-        # the prox sums at s (a call that runs no sweep returns it): equal
-        # bits. joint_objective sums Omega(s) with omega_norm, in another
-        # order, so it agrees to rounding
+        # the trace and joint_objective share one cost function: equal bits
         for seed, side, rank, lambda2 in ((3, 4, 2, None), (5, 4, 2, 0.05),
                                           (6, 5, 3, 0.08), (9, 5, 3, 0.01)):
             rng = np.random.default_rng(seed)
@@ -173,13 +170,8 @@ class TestSeparate:
             kw = {} if lambda2 is None else {"lambda2": lambda2}
             params = make_params(p, rank=rank, **kw)
             res = separate(d, L, g, params)
-            s = res.foreground
-            penalty = structured_prox_dual(s, g, params.lambda2,
-                                           max_iters=0)[4]
-            assert res.objective_trace[-1] == frame_cost(
-                d.pixels - L @ res.coeffs - s, res.coeffs, penalty, params)
-            assert res.objective_trace[-1] == pytest.approx(joint_objective(
-                d.pixels, L, res.coeffs, s, g, params), rel=1e-12)
+            assert res.objective_trace[-1] == joint_objective(
+                d.pixels, L, res.coeffs, res.foreground, g, params)
 
     def test_huge_lambda2_kills_foreground_on_any_input(self):
         rng = np.random.default_rng(10)
